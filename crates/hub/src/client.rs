@@ -62,6 +62,9 @@ impl HubClient {
     /// speaking a different schema.
     pub fn connect(addr: &str) -> Result<HubClient, Diagnostic> {
         let stream = TcpStream::connect(addr).map_err(connect_err)?;
+        // Requests are single small frames; do not let Nagle's algorithm
+        // hold one back waiting for the hub's delayed ACK.
+        stream.set_nodelay(true).map_err(connect_err)?;
         let writer = stream.try_clone().map_err(connect_err)?;
         let mut client = HubClient {
             reader: FrameReader::new(BufReader::new(stream)),

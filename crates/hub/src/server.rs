@@ -15,16 +15,24 @@
 //! in-flight registry guarantees a candidate wanted by two concurrent
 //! jobs is simulated exactly once.
 //!
-//! Progress events flow from executor into a per-job `EventHub` log:
-//! every event is appended to a bounded replay buffer *and* forwarded
-//! to the job's current subscriber connection, which writes it between
-//! reads (its socket reads time out every 50 ms, so events are never
-//! stalled behind an idle client). Because the buffer outlives the
-//! submitting connection, a client that loses its connection mid-job
-//! can reconnect and send `follow JOB_ID`: the hub replays the
-//! buffered events and re-attaches the live stream, ending with the
-//! terminal `done`/`failed` event exactly as the original connection
-//! would have seen it.
+//! Each connection also gets a reader thread that blocks on the socket
+//! and forwards every frame it reads into the connection's *inbox*, one
+//! channel of `Inbound` messages. Progress events flow from executor
+//! into a per-job `EventHub` log: every event is appended to a bounded
+//! replay buffer *and* sent to the inbox of the job's current
+//! subscriber connection. The serving thread blocks on its inbox, so it
+//! wakes the moment either a request or an event arrives and handles
+//! both in arrival order; neither waits on the other. Its only timer
+//! checks the stop flag on a quiet connection. Sockets set
+//! `TCP_NODELAY`, so a small frame written right after another (the
+//! `queued` event after `accepted`) is not held back by Nagle's
+//! algorithm.
+//!
+//! Because the event buffer outlives the submitting connection, a
+//! client that loses its connection mid-job can reconnect and send
+//! `follow JOB_ID`: the hub replays the buffered events and re-attaches
+//! the live stream, ending with the terminal `done`/`failed` event
+//! exactly as the original connection would have seen it.
 //!
 //! ## Durability
 //!
@@ -51,14 +59,16 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use axi4mlir_core::explore::{wire, ExploreReport, Explorer, JobSpec, ProgressEvent, RemotePool};
+use axi4mlir_core::explore::{
+    wire, ExploreReport, ExploreRequest, Explorer, JobSpec, ProgressEvent, RemotePool,
+};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
 use axi4mlir_support::json::JsonValue;
@@ -127,15 +137,25 @@ pub struct HubSummary {
     pub cache_entries: usize,
 }
 
-/// One queued job: its id, spec, priority, and requested worker
-/// budget. Events reach the submitting (or following) connection
-/// through the [`EventHub`], not a field here — the event stream must
-/// outlive the connection that submitted the job.
+/// One queued job: its id, the request `submit` validated, priority,
+/// and requested worker budget. Events reach the submitting (or
+/// following) connection through the [`EventHub`], not a field here —
+/// the event stream must outlive the connection that submitted the job.
 struct Job {
     id: u64,
-    spec: JobSpec,
+    request: ExploreRequest,
     priority: i64,
     sim_workers: Option<usize>,
+}
+
+/// One message in a connection's inbox: the serving thread handles
+/// both kinds in arrival order.
+enum Inbound {
+    /// An event of a job this connection is subscribed to.
+    Event(JsonValue),
+    /// The reader thread's next read: a request frame, EOF, or the
+    /// error that ended the stream.
+    Frame(Result<Frame, Diagnostic>),
 }
 
 /// Jobs already terminal whose event logs are retained for late
@@ -146,7 +166,7 @@ const RETAINED_FINISHED: usize = 16;
 /// currently subscribed to the live stream.
 struct JobLog {
     events: VecDeque<JsonValue>,
-    subscriber: Option<Sender<JsonValue>>,
+    subscriber: Option<Sender<Inbound>>,
     terminal: bool,
 }
 
@@ -173,7 +193,7 @@ impl EventHub {
     }
 
     /// Starts a job's log with `subscriber` attached.
-    fn register(&self, id: u64, subscriber: Sender<JsonValue>) {
+    fn register(&self, id: u64, subscriber: Sender<Inbound>) {
         let mut inner = self.inner.lock().expect("event hub poisoned");
         inner.jobs.insert(
             id,
@@ -198,7 +218,7 @@ impl EventHub {
             );
             log.events.push_back(event.clone());
             if let Some(subscriber) = &log.subscriber {
-                let _ = subscriber.send(event);
+                let _ = subscriber.send(Inbound::Event(event));
             }
             let newly = terminal && !log.terminal;
             log.terminal |= terminal;
@@ -219,7 +239,7 @@ impl EventHub {
     /// buffered — it describes the old connection, not the job), and
     /// the buffered events are returned for replay. `Err` carries the
     /// `error` frame for an unknown or evicted job.
-    fn follow(&self, id: u64, subscriber: Sender<JsonValue>) -> Result<Vec<JsonValue>, JsonValue> {
+    fn follow(&self, id: u64, subscriber: Sender<Inbound>) -> Result<Vec<JsonValue>, JsonValue> {
         let mut inner = self.inner.lock().expect("event hub poisoned");
         let Some(log) = inner.jobs.get_mut(&id) else {
             return Err(protocol::error(&format!(
@@ -227,7 +247,7 @@ impl EventHub {
             )));
         };
         if let Some(previous) = log.subscriber.replace(subscriber) {
-            let _ = previous.send(protocol::event(id, "detached", vec![]));
+            let _ = previous.send(Inbound::Event(protocol::event(id, "detached", vec![])));
         }
         Ok(log.events.iter().cloned().collect())
     }
@@ -331,11 +351,9 @@ impl Shared {
         spec: JobSpec,
         priority: i64,
         sim_workers: Option<usize>,
-        events: Sender<JsonValue>,
+        events: Sender<Inbound>,
     ) -> Result<(u64, usize), JsonValue> {
-        if let Err(err) = spec.build() {
-            return Err(protocol::error(&err.message));
-        }
+        let request = spec.build().map_err(|err| protocol::error(&err.message))?;
         let mut queue = self.queue.lock().expect("hub queue poisoned");
         if queue.len() >= self.config.queue_capacity {
             return Err(protocol::tagged(
@@ -351,14 +369,15 @@ impl Shared {
         // How many queued jobs would run before this one under the
         // priority-then-FIFO discipline.
         let ahead = queue.iter().filter(|job| job.priority >= priority).count();
-        // Register and publish `queued` *before* the queue push (still
-        // under the queue lock), so no executor can publish `running`
-        // first.
+        // Register and publish `queued`, and count the job as queued,
+        // *before* the queue push (still under the queue lock), so no
+        // executor can publish `running` first or take the job off the
+        // `queued` count before it is on it.
         self.events.register(id, events);
         self.events.publish(id, protocol::event(id, "queued", vec![]));
-        queue.push_back(Job { id, spec, priority, sim_workers });
-        drop(queue);
         self.with_stats(|s| s.queued += 1);
+        queue.push_back(Job { id, request, priority, sim_workers });
+        drop(queue);
         self.available.notify_one();
         Ok((id, ahead))
     }
@@ -500,40 +519,95 @@ impl Hub {
     }
 }
 
-/// Serves one client connection. All socket writes happen here.
+/// How often a quiet serving thread checks the stop flag. Requests and
+/// events wake it at once; this only bounds how long a shutdown waits
+/// on an idle connection.
+const STOP_POLL: Duration = Duration::from_millis(50);
+
+/// Serves one client connection: spawns its reader thread, serves the
+/// inbox, then shuts the socket down and joins the reader.
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), Diagnostic> {
     let fail = |err: std::io::Error| Diagnostic::error(format!("connection setup failed: {err}"));
-    // The accepted socket must block (the listener polls), but with a
-    // short read timeout so queued events and the stop flag are polled
-    // between frames.
+    // The accepted socket must block (the listener polls) and has no
+    // read timeout: the reader thread sleeps in `read` until bytes
+    // arrive, and the shutdown below is what wakes it at the end.
     stream.set_nonblocking(false).map_err(fail)?;
-    stream.set_read_timeout(Some(Duration::from_millis(50))).map_err(fail)?;
-    let mut writer = stream.try_clone().map_err(fail)?;
+    stream.set_read_timeout(None).map_err(fail)?;
+    stream.set_nodelay(true).map_err(fail)?;
+    let read_half = stream.try_clone().map_err(fail)?;
+    let (inbox, inbound) = mpsc::channel();
+    let (resume, resumed) = mpsc::channel();
+    let reader = {
+        let inbox = inbox.clone();
+        std::thread::spawn(move || read_frames(read_half, &inbox, &resumed))
+    };
+    // `serve_inbox` drops `resume` on return, which releases a reader
+    // waiting to resume; the shutdown releases one blocked in `read`.
+    let served = serve_inbox(shared, &stream, &inbox, &inbound, resume);
+    let _ = stream.shutdown(Shutdown::Both);
+    let _ = reader.join();
+    served
+}
+
+/// A connection's reader thread: forwards every frame into the inbox
+/// until EOF, a read or framing error, or a closed inbox. After each
+/// frame it waits for the serving thread to take it off the inbox
+/// before reading on, so a client that sends requests but never reads
+/// the replies meets TCP backpressure instead of growing the inbox.
+fn read_frames(stream: TcpStream, inbox: &Sender<Inbound>, resumed: &Receiver<()>) {
     let mut reader = FrameReader::new(BufReader::new(stream));
-    let (events_tx, events_rx): (Sender<JsonValue>, Receiver<JsonValue>) = mpsc::channel();
+    loop {
+        let frame = reader.next_frame();
+        let last = matches!(frame, Ok(Frame::Eof) | Err(_));
+        if inbox.send(Inbound::Frame(frame)).is_err() || last || resumed.recv().is_err() {
+            return;
+        }
+    }
+}
+
+/// The serving thread's loop. All socket writes happen here, so replies
+/// and events never interleave mid-frame.
+fn serve_inbox(
+    shared: &Arc<Shared>,
+    mut writer: &TcpStream,
+    inbox: &Sender<Inbound>,
+    inbound: &Receiver<Inbound>,
+    resume: Sender<()>,
+) -> Result<(), Diagnostic> {
     // Jobs this connection submitted that have not reached a terminal
     // state; the goodbye frame waits for them.
     let mut active = 0usize;
     let io = |err: std::io::Error| Diagnostic::error(format!("connection write failed: {err}"));
     loop {
-        while let Ok(event) = events_rx.try_recv() {
-            let state = event.get("state").and_then(JsonValue::as_str);
-            if matches!(state, Some("done") | Some("failed") | Some("detached")) {
-                // `detached`: another connection took over this job's
-                // stream via `follow`; it no longer holds our goodbye.
-                active = active.saturating_sub(1);
-            }
-            write_frame_at("hub.event", &mut writer, &event).map_err(io)?;
-        }
         if shared.stopping() && active == 0 {
             let _ = write_frame(&mut writer, &protocol::tagged("shutting_down", vec![]));
             return Ok(());
         }
-        let frame = reader.next_frame().inspect_err(|err| {
-            // Framing/JSON errors are fatal to the connection; say why
-            // before hanging up (best effort — the peer may be gone).
-            let _ = write_frame(&mut writer, &protocol::error(&err.message));
-        })?;
+        let frame = match inbound.recv_timeout(STOP_POLL) {
+            Err(RecvTimeoutError::Timeout) => continue,
+            // Unreachable while `inbox` is alive; treat it as a hang-up.
+            Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            Ok(Inbound::Event(event)) => {
+                let state = event.get("state").and_then(JsonValue::as_str);
+                if matches!(state, Some("done") | Some("failed") | Some("detached")) {
+                    // `detached`: another connection took over this job's
+                    // stream via `follow`; it no longer holds our goodbye.
+                    active = active.saturating_sub(1);
+                }
+                write_frame_at("hub.event", &mut writer, &event).map_err(io)?;
+                continue;
+            }
+            Ok(Inbound::Frame(frame)) => {
+                // The reader may read on (see `read_frames`).
+                let _ = resume.send(());
+                frame.inspect_err(|err| {
+                    // Framing/JSON errors are fatal to the connection; say
+                    // why before hanging up (best effort — the peer may be
+                    // gone).
+                    let _ = write_frame(&mut writer, &protocol::error(&err.message));
+                })?
+            }
+        };
         match frame {
             Frame::Idle => continue,
             Frame::Eof => return Ok(()),
@@ -549,7 +623,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), Diagn
                         continue;
                     }
                     Ok(Request::Submit { spec, priority, sim_workers }) => {
-                        match shared.submit(*spec, priority, sim_workers, events_tx.clone()) {
+                        match shared.submit(*spec, priority, sim_workers, inbox.clone()) {
                             Err(reply) => reply,
                             Ok((id, ahead)) => {
                                 active += 1;
@@ -562,13 +636,13 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), Diagn
                                 );
                                 write_frame(&mut writer, &accepted).map_err(io)?;
                                 // The `queued` event (already published)
-                                // arrives through the events channel.
+                                // is waiting in the inbox.
                                 continue;
                             }
                         }
                     }
                     Ok(Request::Follow { job }) => {
-                        match shared.events.follow(job, events_tx.clone()) {
+                        match shared.events.follow(job, inbox.clone()) {
                             Err(reply) => reply,
                             Ok(replay) => {
                                 let replayed_terminal = replay.iter().any(|event| {
@@ -579,7 +653,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), Diagn
                                 });
                                 if !replayed_terminal {
                                     // A live job: its terminal event will
-                                    // arrive on our channel; hold the
+                                    // arrive in our inbox; hold the
                                     // goodbye for it.
                                     active += 1;
                                 }
@@ -681,7 +755,7 @@ fn executor_loop(shared: &Arc<Shared>) {
 /// Runs one job on the shared explorer, streaming progress and
 /// checkpointing the cache at every rung boundary.
 fn run_job(shared: &Arc<Shared>, job: &Job, budget: usize) -> Result<ExploreReport, Diagnostic> {
-    let request = job.spec.build()?;
+    let request = &job.request;
     let observer = |event: &ProgressEvent| {
         shared.events.publish(job.id, protocol::progress_event(job.id, event));
         if matches!(event, ProgressEvent::RungComplete { .. }) {
@@ -708,7 +782,8 @@ mod tests {
     use super::*;
 
     fn job(id: u64, priority: i64) -> Job {
-        Job { id, spec: JobSpec::default(), priority, sim_workers: None }
+        let spec = JobSpec { dims: Some((4, 4, 4)), ..JobSpec::default() };
+        Job { id, request: spec.build().expect("a valid spec"), priority, sim_workers: None }
     }
 
     #[test]

@@ -115,6 +115,33 @@ fn concurrent_identical_jobs_simulate_each_candidate_once() {
 }
 
 #[test]
+fn back_to_back_cache_hits_on_one_connection_take_no_fixed_stall() {
+    let (addr, hub) = start_hub(HubConfig { workers: 1, sim_workers: 1, ..HubConfig::default() });
+    let mut client = HubClient::connect(&addr).expect("connect");
+    let spec = JobSpec {
+        dims: Some((8, 8, 8)),
+        accels: vec!["v4_8".to_owned()],
+        seed: Some(7),
+        ..JobSpec::default()
+    };
+    client.run(&spec, &mut |_| ()).expect("warm-up job fills the cache");
+
+    // Each job is a handful of frames with no simulation behind them, so
+    // the total is what the hub's event path costs per job: a stall per
+    // event (a poll interval, a delayed ACK) multiplies by 20 here.
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        let report = client.run(&spec, &mut |_| ()).expect("cache-hit job");
+        assert_eq!(report.sims_performed, 0, "every candidate comes from the cache");
+    }
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "20 cache-hit jobs took {took:?}");
+
+    client.shutdown().expect("shutdown");
+    assert_eq!(hub.join().unwrap().completed, 21);
+}
+
+#[test]
 fn a_full_queue_rejects_with_backpressure() {
     // No executors: submitted jobs stay queued forever, so the queue
     // state is deterministic.

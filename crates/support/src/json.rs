@@ -413,13 +413,25 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a character boundary and
+            // only its own bytes need UTF-8 validation: decoding stays
+            // linear in the document size.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(
+                std::str::from_utf8(&rest[..run])
+                    .map_err(|_| self.error("invalid UTF-8 in string"))?,
+            );
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // The run stopped at a backslash.
                     self.pos += 1;
                     let escaped = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
                     self.pos += 1;
@@ -432,33 +444,47 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by config files.
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(self.error(format!("unknown escape `\\{}`", other as char)))
                         }
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the character of a `\uXXXX` escape whose `\u` was just
+    /// consumed. A high surrogate directly followed by a `\uXXXX` low
+    /// surrogate decodes as the pair's one character; a lone surrogate
+    /// becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, Diagnostic> {
+        let unit = self.hex4()?;
+        if (0xD800..0xDC00).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(code).expect("a surrogate pair is a scalar value"));
+            }
+            // Not a pair: the next escape decodes on its own.
+            self.pos = resume;
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{FFFD}'))
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, Diagnostic> {
+        if self.pos + 4 > self.bytes.len() {
+            return Err(self.error("truncated \\u escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+            .ok()
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.error("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(hex)
     }
 
     fn number(&mut self) -> Result<JsonValue, Diagnostic> {
@@ -567,6 +593,50 @@ mod tests {
         let text = v.to_json_string();
         assert_eq!(text, "\"a\\\"b\\\\c\\nd\\u0001\"");
         assert_eq!(JsonValue::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        let v = JsonValue::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v, JsonValue::Str("😀".to_owned()));
+        // Upper-case hex and surrounding text decode the same way.
+        let v = JsonValue::parse(r#""a\uD83D\uDE00b""#).unwrap();
+        assert_eq!(v, JsonValue::Str("a😀b".to_owned()));
+    }
+
+    #[test]
+    fn lone_surrogates_decode_to_the_replacement_character() {
+        let cases = [
+            (r#""\ud83d""#, "\u{FFFD}"),
+            (r#""\ude00""#, "\u{FFFD}"),
+            (r#""\ud83dx""#, "\u{FFFD}x"),
+            // A high surrogate followed by a non-surrogate escape: both
+            // escapes decode on their own.
+            (r#""\ud83d\u0041""#, "\u{FFFD}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{FFFD}😀"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(JsonValue::parse(text).unwrap(), JsonValue::Str(want.to_owned()), "{text}");
+        }
+        assert!(JsonValue::parse(r#""\ud83d\u00""#).is_err(), "a truncated low half is an error");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_decodes_in_linear_time() {
+        let unit = "ascii é 日本 🚀 \\n \\\" \\u00e9 ";
+        let body = unit.repeat((1 << 20) / unit.len() + 1);
+        let text = format!("{{\"blob\": \"{body}\", \"n\": 1}}");
+        let started = std::time::Instant::now();
+        let v = JsonValue::parse(&text).unwrap();
+        let took = started.elapsed();
+        let blob = v.get("blob").and_then(JsonValue::as_str).unwrap();
+        assert!(
+            blob.starts_with("ascii é 日本 🚀 \n \" é ascii"),
+            "{}",
+            blob.chars().take(20).collect::<String>()
+        );
+        assert_eq!(v.get("n"), Some(&JsonValue::Int(1)));
+        assert!(took < std::time::Duration::from_secs(2), "1 MiB string took {took:?}");
     }
 
     #[test]
