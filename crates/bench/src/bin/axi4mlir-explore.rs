@@ -6,24 +6,28 @@
 //! Usage:
 //! `cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- \
 //!     [--smoke] [--workload matmul|conv|batched] [--accel v1..v4[:SIZE],...] \
-//!     [--search exhaustive|halving] [--cache PATH | --cache-dir DIR] \
-//!     [--warm-start [PATH]] \
+//!     [--search exhaustive|halving] [--cache-dir DIR] [--warm-start] \
 //!     [--hub ADDR] [--objectives clock,traffic,transactions,occupancy] \
 //!     [--dims MxNxK] [--batch N] [--layer iHW_iC_fHW_oC_stride] \
 //!     [--base B] [--capacity WORDS] [--sweep-options] \
 //!     [--sweep-cache-tiling] [--cpu pynq_z2|zcu102|desktop,...] \
-//!     [--workers N] [--prune none|keep:N|factor:F] [--seed S] [--json DIR]`
+//!     [--workers N] [--prune none|keep:N|factor:F] [--seed S] [--json [DIR]]`
+//!
+//! The flags become one [`JobSpec`] — the same wire-form job the hub
+//! accepts — and [`JobSpec::build`] validates it, so the CLI and the
+//! daemon reject a bad job with the same field-naming error. The CLI adds
+//! only its own defaults: the `--smoke` shapes, `--base` as the size of
+//! an `--accel` generation given without one, and the `v4:8` → `v4_8`
+//! label spelling.
 //!
 //! `--smoke` is the CI entry point: a tiny space that sweeps in well
 //! under a second but exercises the whole engine — enumeration, pruning,
 //! the search strategy, the parallel session pool, the result cache, and
-//! the JSON reporter. With `--cache`, results persist to a
-//! `BENCH_cache.json` (loaded before the sweep, merged and saved after),
-//! so a repeated invocation reports 0 new simulations. `--cache-dir`
-//! persists the same results sharded by workload signature instead
-//! (`DIR/<shard>.json`, order-invariant merge, dirty-shard-only saves);
-//! a legacy `BENCH_cache.json` dropped into the directory migrates
-//! losslessly on the next save.
+//! the JSON reporter. With `--cache-dir`, results persist sharded by
+//! workload signature (`DIR/<shard>.json`, order-invariant merge,
+//! dirty-shard-only saves), so a repeated invocation reports 0 new
+//! simulations. A legacy `BENCH_cache.json` dropped into the directory
+//! migrates losslessly on the next save.
 //!
 //! `--objectives` turns the sweep multi-objective: every evaluation is
 //! scored under each named objective (the first is the primary the prune
@@ -31,198 +35,46 @@
 //! `pareto` section listing the non-dominated front plus context members
 //! locating the paper's analytical pick relative to it.
 //!
-//! `--warm-start [PATH]` fits the cross-problem transfer model from a
-//! persisted result cache (`PATH` defaults to the `--cache` file) and
-//! ranks the halving search by its calibrated clock predictions:
-//! measurements banked on *other* problem shapes cut both the proxy
-//! rungs and the full-fidelity finalist count on this one.
+//! `--warm-start` fits the cross-problem transfer model from the loaded
+//! `--cache-dir` and ranks the halving search by its calibrated clock
+//! predictions: measurements banked on *other* problem shapes cut both
+//! the proxy rungs and the full-fidelity finalist count on this one.
 //! `--sweep-cache-tiling` and `--cpu` widen the options axis with the
 //! cache-hierarchy tiling levels (off/auto/fixed 16-64) and named host
 //! CPUs (meaningful under auto tiling only; illegal combinations are
 //! dropped by the per-candidate legality rules).
 //!
 //! `--hub ADDR` runs the sweep on a running `axi4mlir-hub` daemon
-//! instead of in-process: the same flags become a job submitted over
-//! the `axi4mlir-hub/v1` protocol (see `docs/PROTOCOL.md`), progress
-//! events stream to stdout, and the `done` event's report renders the
-//! *same* `BENCH_explore.json` the local path writes. The hub owns the
-//! result cache, so `--cache`/`--warm-start` are rejected alongside
-//! `--hub`.
+//! instead of in-process: the same job is submitted over the
+//! `axi4mlir-hub/v1` protocol (see `docs/PROTOCOL.md`), progress events
+//! stream to stdout, and the `done` event's report renders the *same*
+//! `BENCH_explore.json` the local path writes. The hub owns the result
+//! cache, so `--cache-dir`/`--warm-start` are rejected alongside `--hub`.
 
-use std::path::PathBuf;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use axi4mlir_bench::report::{BenchEntry, BenchReport};
-use axi4mlir_config::{CacheTiling, CpuModel};
-use axi4mlir_core::explore::{
-    cache as result_cache, AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreReport,
-    Explorer, HalvingSpec, JobSpec, MatMulSpace, Objective, OptionsPoint, Prune, Search,
-    TransferModel,
-};
+use axi4mlir_core::explore::jobspec::parse_dims;
+use axi4mlir_core::explore::{ExploreReport, Explorer, JobSpec};
 use axi4mlir_hub::{run_resilient, HubClient};
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_workloads::matmul::MatMulProblem;
-use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};
-use axi4mlir_workloads::BatchedMatMulProblem;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).cloned()
-}
+/// The smoke-scale conv layer (the Fig. 16 quick shape), also the conv
+/// default without `--layer`.
+const SMOKE_LAYER: &str = "10_64_3_16_1";
 
-fn parse_dims(text: &str) -> Option<MatMulProblem> {
-    let parts: Vec<i64> = text.split('x').map(str::parse).collect::<Result<_, _>>().ok()?;
-    match parts[..] {
-        [m, n, k] if m > 0 && n > 0 && k > 0 => Some(MatMulProblem::new(m, n, k)),
-        _ => None,
-    }
-}
+/// Flags without a value.
+const SWITCHES: [&str; 4] = ["--smoke", "--warm-start", "--sweep-options", "--sweep-cache-tiling"];
 
-fn parse_prune(text: &str) -> Option<Prune> {
-    if text == "none" {
-        return Some(Prune::None);
-    }
-    if let Some(n) = text.strip_prefix("keep:") {
-        return n.parse().ok().map(Prune::KeepBest);
-    }
-    if let Some(f) = text.strip_prefix("factor:") {
-        return f.parse().ok().map(Prune::WithinFactor);
-    }
-    None
-}
-
-/// `v3` (size defaults to `--base`), `v4:8`, or a comma list of either.
-/// Normalizes each token to the `v4_8` preset-name form and delegates to
-/// [`AccelInstance::parse`] (which also rejects non-positive sizes).
-fn parse_accels(text: &str, default_size: i64) -> Option<Vec<AccelInstance>> {
-    let mut out = Vec::new();
-    for token in text.split(',') {
-        let label = match token.split_once(':') {
-            Some((name, size)) => format!("{name}_{size}"),
-            None => format!("{token}_{default_size}"),
-        };
-        out.push(AccelInstance::parse(&label)?);
-    }
-    (!out.is_empty()).then_some(out)
-}
-
-/// The figure label `iHW_iC_fHW_oC_stride`, either one of the ResNet18
-/// layers or an arbitrary custom shape.
-fn parse_layer(text: &str) -> Option<ConvLayer> {
-    if let Some(layer) = resnet18_layers().into_iter().find(|l| l.label() == text) {
-        return Some(layer);
-    }
-    let parts: Vec<usize> = text.split('_').map(str::parse).collect::<Result<_, _>>().ok()?;
-    match parts[..] {
-        [in_hw, in_channels, filter_hw, out_channels, stride]
-            if in_hw >= filter_hw && filter_hw > 0 && stride > 0 && out_channels > 0 =>
-        {
-            Some(ConvLayer { in_hw, in_channels, filter_hw, out_channels, stride })
-        }
-        _ => None,
-    }
-}
-
-/// The smoke-scale conv layer (the Fig. 16 quick shape).
-fn smoke_layer() -> ConvLayer {
-    ConvLayer { in_hw: 10, in_channels: 64, filter_hw: 3, out_channels: 16, stride: 1 }
-}
-
-enum SpaceChoice {
-    MatMul(MatMulSpace),
-    Batched(BatchedSpace),
-    Conv(ConvSpace),
-}
-
-impl SpaceChoice {
-    fn as_dyn(&self) -> &dyn DesignSpace {
-        match self {
-            SpaceChoice::MatMul(s) => s,
-            SpaceChoice::Batched(s) => s,
-            SpaceChoice::Conv(s) => s,
-        }
-    }
-}
-
-struct Request {
-    space: SpaceChoice,
-    prune: Prune,
-    search: Search,
-    workers: usize,
-    objectives: Vec<Objective>,
-    cache: Option<PathBuf>,
-    /// Persist the cache sharded across this directory instead of one
-    /// `--cache` blob.
-    cache_dir: Option<PathBuf>,
-    /// Fit the cross-problem transfer model from this cache file before
-    /// the sweep.
-    warm_start: Option<PathBuf>,
-    /// Run on this `axi4mlir-hub` daemon instead of in-process.
-    hub: Option<String>,
-    /// The booleans/lists the wire job needs verbatim (the resolved
-    /// space holds their *effect*, not the flags themselves).
-    sweep_options: bool,
-    sweep_cache_tiling: bool,
-    cpus: Vec<String>,
-}
-
-impl Request {
-    /// The wire-form job equivalent to this request, built from the
-    /// *resolved* space so hub sweeps see exactly what a local sweep
-    /// would (smoke defaults included).
-    fn to_job(&self) -> JobSpec {
-        let mut job = JobSpec {
-            search: self.search.label().to_owned(),
-            prune: match self.prune {
-                Prune::None => "none".to_owned(),
-                Prune::KeepBest(n) => format!("keep:{n}"),
-                Prune::WithinFactor(f) => format!("factor:{f}"),
-            },
-            objectives: self.objectives.iter().map(|o| o.label().to_owned()).collect(),
-            sweep_options: self.sweep_options,
-            sweep_cache_tiling: self.sweep_cache_tiling,
-            cpus: self.cpus.clone(),
-            ..JobSpec::default()
-        };
-        match &self.space {
-            SpaceChoice::MatMul(s) => {
-                job.workload = "matmul".to_owned();
-                job.dims = Some((s.problem.m, s.problem.n, s.problem.k));
-                job.accels = s.accels.iter().map(AccelInstance::label).collect();
-                job.capacity_words = Some(s.capacity_words);
-                job.seed = Some(s.seed);
-            }
-            SpaceChoice::Batched(s) => {
-                job.workload = "batched".to_owned();
-                let p = &s.batch.problem;
-                job.dims = Some((p.m, p.n, p.k));
-                job.batch = Some(s.batch.batch as i64);
-                job.accels = s.accels.iter().map(AccelInstance::label).collect();
-                job.capacity_words = Some(s.capacity_words);
-                job.seed = Some(s.seed);
-            }
-            SpaceChoice::Conv(s) => {
-                job.workload = "conv".to_owned();
-                job.layer = Some(s.layer.label());
-                job.seed = Some(s.seed);
-            }
-        }
-        job
-    }
-}
-
-/// Every flag the binary understands; anything else starting with `--`
-/// is rejected so a typo (`--objective`) cannot silently fall back to a
-/// default sweep.
-const KNOWN_FLAGS: [&str; 21] = [
-    "--smoke",
+/// Flags taking one value.
+const VALUED: [&str; 15] = [
     "--workload",
     "--accel",
     "--search",
-    "--cache",
     "--cache-dir",
-    "--warm-start",
     "--hub",
     "--objectives",
     "--dims",
@@ -230,212 +82,153 @@ const KNOWN_FLAGS: [&str; 21] = [
     "--layer",
     "--base",
     "--capacity",
-    "--sweep-options",
-    "--sweep-cache-tiling",
     "--cpu",
     "--workers",
     "--prune",
     "--seed",
-    "--json",
 ];
 
-fn request_from_args(args: &[String]) -> Result<Request, String> {
-    if let Some(unknown) =
-        args.iter().find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str()))
-    {
-        return Err(format!("unknown flag `{unknown}` (known: {})", KNOWN_FLAGS.join(" ")));
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let workload = arg_value(args, "--workload").unwrap_or_else(|| "matmul".to_owned());
-    let default_workers =
-        std::thread::available_parallelism().map_or(2, |n| n.get()).min(if smoke { 2 } else { 8 });
-
-    let base = match arg_value(args, "--base") {
-        Some(text) => text.parse().map_err(|_| format!("invalid --base `{text}`"))?,
-        None if smoke => 8,
-        None => 16,
-    };
-    let accels = match arg_value(args, "--accel") {
-        Some(text) => parse_accels(&text, base)
-            .ok_or(format!("invalid --accel `{text}` (v1..v4[:SIZE],...)"))?,
-        None => vec![AccelInstance::v4(base)],
-    };
-    let sweep_options = args.iter().any(|a| a == "--sweep-options");
-    let sweep_cache_tiling = args.iter().any(|a| a == "--sweep-cache-tiling");
-    let mut options_axis =
-        if sweep_options { OptionsPoint::axis() } else { vec![OptionsPoint::default()] };
-    if sweep_cache_tiling {
-        options_axis =
-            OptionsPoint::cross_cache_tiling(&options_axis, &CacheTiling::sweep_levels());
-    }
-    let mut cpu_labels: Vec<String> = Vec::new();
-    if let Some(text) = arg_value(args, "--cpu") {
-        let cpus: Vec<CpuModel> = text
-            .split(',')
-            .map(|token| CpuModel::parse(token.trim()))
-            .collect::<Option<_>>()
-            .ok_or_else(|| {
-                let known: Vec<&str> = CpuModel::all().iter().map(CpuModel::label).collect();
-                format!("invalid --cpu `{text}` (a comma list of {})", known.join("|"))
-            })?;
-        cpu_labels = cpus.iter().map(|c| c.label().to_owned()).collect();
-        options_axis = OptionsPoint::cross_cpus(&options_axis, &cpus);
-    }
-
-    let problem = match arg_value(args, "--dims") {
-        Some(text) => parse_dims(&text).ok_or(format!("invalid --dims `{text}` (want MxNxK)"))?,
-        None if smoke => MatMulProblem::new(16, 16, 16),
-        None => MatMulProblem::new(256, 256, 256),
-    };
-
-    let mut space = match workload.as_str() {
-        "matmul" => {
-            let mut s = MatMulSpace::new(problem).accels(accels).options_axis(options_axis);
-            if let Some(text) = arg_value(args, "--capacity") {
-                s = s.capacity_words(
-                    text.parse().map_err(|_| format!("invalid --capacity `{text}`"))?,
-                );
-            }
-            SpaceChoice::MatMul(s)
-        }
-        "batched" => {
-            let batch = match arg_value(args, "--batch") {
-                Some(text) => text.parse().map_err(|_| format!("invalid --batch `{text}`"))?,
-                None => {
-                    if smoke {
-                        2
-                    } else {
-                        4
-                    }
-                }
-            };
-            let problem = if smoke && arg_value(args, "--dims").is_none() {
-                MatMulProblem::square(8)
-            } else {
-                problem
-            };
-            let mut s = BatchedSpace::new(BatchedMatMulProblem::new(problem, batch))
-                .accels(accels)
-                .options_axis(options_axis);
-            if let Some(text) = arg_value(args, "--capacity") {
-                s = s.capacity_words(
-                    text.parse().map_err(|_| format!("invalid --capacity `{text}`"))?,
-                );
-            }
-            SpaceChoice::Batched(s)
-        }
-        "conv" => {
-            for flag in ["--accel", "--dims", "--capacity", "--base", "--batch"] {
-                if arg_value(args, flag).is_some() {
-                    eprintln!(
-                        "axi4mlir-explore: note: {flag} is ignored for conv (the \u{a7}IV-D \
-                         accelerator is configured by the layer; use --layer)"
-                    );
-                }
-            }
-            if args.iter().any(|a| a == "--sweep-cache-tiling")
-                || arg_value(args, "--cpu").is_some()
-            {
-                eprintln!(
-                    "axi4mlir-explore: note: conv kernels never cache-tile; the tiling/host \
-                     axes are dropped by the conv legality rules"
-                );
-            }
-            let layer = match arg_value(args, "--layer") {
-                Some(text) => parse_layer(&text)
-                    .ok_or(format!("invalid --layer `{text}` (want iHW_iC_fHW_oC_stride)"))?,
-                None => smoke_layer(),
-            };
-            SpaceChoice::Conv(ConvSpace::new(layer))
-        }
-        other => return Err(format!("invalid --workload `{other}` (matmul|conv|batched)")),
-    };
-
-    if let Some(text) = arg_value(args, "--seed") {
-        let seed = text.parse().map_err(|_| format!("invalid --seed `{text}`"))?;
-        match &mut space {
-            SpaceChoice::MatMul(s) => s.seed = seed,
-            SpaceChoice::Batched(s) => s.seed = seed,
-            SpaceChoice::Conv(s) => s.seed = seed,
-        }
-    }
-
-    let objectives = match arg_value(args, "--objectives") {
-        Some(text) => Objective::parse_list(&text).ok_or(format!(
-            "invalid --objectives `{text}` (a comma list of clock|traffic|transactions|occupancy, \
-             no duplicates)"
-        ))?,
-        None => vec![Objective::TaskClock],
-    };
-    let search = match arg_value(args, "--search").as_deref() {
-        None | Some("exhaustive") => Search::Exhaustive,
-        // The default spec promotes by the primary (first-listed)
-        // objective automatically.
-        Some("halving") => Search::Halving(HalvingSpec::default()),
-        Some(other) => return Err(format!("invalid --search `{other}` (exhaustive|halving)")),
-    };
-    let prune = match arg_value(args, "--prune") {
-        Some(text) => {
-            parse_prune(&text).ok_or(format!("invalid --prune `{text}` (none|keep:N|factor:F)"))?
-        }
-        None => Prune::None,
-    };
-    let workers = match arg_value(args, "--workers") {
-        Some(text) => text.parse().map_err(|_| format!("invalid --workers `{text}`"))?,
-        None => default_workers,
-    };
-    let cache = arg_value(args, "--cache").map(PathBuf::from);
-    let cache_dir = arg_value(args, "--cache-dir").map(PathBuf::from);
-    if cache.is_some() && cache_dir.is_some() {
-        return Err("--cache and --cache-dir are mutually exclusive (one blob or one sharded \
-                    directory, not both)"
-            .to_owned());
-    }
-    // `--warm-start` takes an optional PATH; without one it reads the
-    // `--cache` file or `--cache-dir` directory (the common case: one
-    // persistent cache doing both jobs).
-    let warm_start = match args.iter().position(|a| a == "--warm-start") {
-        None => None,
-        Some(at) => {
-            let explicit = args.get(at + 1).filter(|v| !v.starts_with("--")).map(PathBuf::from);
-            match explicit.or_else(|| cache.clone()).or_else(|| cache_dir.clone()) {
-                Some(path) => Some(path),
-                None => {
-                    return Err("--warm-start needs a cache (give it a PATH or pass \
-                                --cache/--cache-dir)"
-                        .to_owned())
-                }
-            }
-        }
-    };
-    let hub = arg_value(args, "--hub");
-    if hub.is_some() && (cache.is_some() || cache_dir.is_some() || warm_start.is_some()) {
-        return Err("--hub is incompatible with --cache/--cache-dir/--warm-start (the hub owns \
-                    the shared cache and warm start; configure them on the daemon)"
-            .to_owned());
-    }
-    Ok(Request {
-        space,
-        prune,
-        search,
-        workers,
-        objectives,
-        cache,
-        cache_dir,
-        warm_start,
-        hub,
-        sweep_options,
-        sweep_cache_tiling,
-        cpus: cpu_labels,
-    })
+/// What one invocation asks for: the job plus how to run it.
+struct Request {
+    job: JobSpec,
+    workers: usize,
+    /// Load the cache from, and persist it sharded into, this directory.
+    cache_dir: Option<PathBuf>,
+    /// Fit the transfer model from the loaded cache before the sweep.
+    warm_start: bool,
+    /// Run on this `axi4mlir-hub` daemon instead of in-process.
+    hub: Option<String>,
+    /// Where `BENCH_explore.json` lands.
+    json_dir: PathBuf,
 }
 
-/// Runs the request on a hub daemon, streaming progress to stdout, and
+/// Splits argv into `flag -> value` (empty for switches). Unknown flags
+/// and stray arguments are rejected, so a typo (`--objective`) cannot
+/// silently fall back to a default sweep.
+fn parse_flags(args: &[String]) -> Result<HashMap<&str, String>, String> {
+    let mut flags = HashMap::new();
+    let mut rest = args.iter().peekable();
+    while let Some(flag) = rest.next() {
+        let flag = flag.as_str();
+        let value = if SWITCHES.contains(&flag) {
+            String::new()
+        } else if VALUED.contains(&flag) {
+            rest.next().cloned().ok_or_else(|| format!("{flag} needs a value"))?
+        } else if flag == "--json" {
+            rest.next_if(|dir| !dir.starts_with("--")).cloned().unwrap_or_else(|| ".".to_owned())
+        } else if flag.starts_with("--") {
+            let known: Vec<&str> =
+                SWITCHES.iter().chain(&VALUED).copied().chain(["--json"]).collect();
+            return Err(format!("unknown flag `{flag}` (known: {})", known.join(" ")));
+        } else {
+            return Err(format!("unexpected argument `{flag}`"));
+        };
+        flags.insert(flag, value);
+    }
+    Ok(flags)
+}
+
+/// A comma list, trimmed per item.
+fn list(text: &str) -> Vec<String> {
+    text.split(',').map(|item| item.trim().to_owned()).collect()
+}
+
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("invalid {flag} `{text}`"))
+}
+
+fn request_from_args(args: &[String]) -> Result<Request, String> {
+    let flags = parse_flags(args)?;
+    let get = |flag: &str| flags.get(flag).map(String::as_str);
+    let smoke = flags.contains_key("--smoke");
+    let mut job = JobSpec {
+        workload: get("--workload").unwrap_or("matmul").to_owned(),
+        sweep_options: flags.contains_key("--sweep-options"),
+        sweep_cache_tiling: flags.contains_key("--sweep-cache-tiling"),
+        cpus: get("--cpu").map(list).unwrap_or_default(),
+        search: get("--search").unwrap_or("exhaustive").to_owned(),
+        prune: get("--prune").unwrap_or("none").to_owned(),
+        objectives: get("--objectives").map(list).unwrap_or_default(),
+        seed: get("--seed").map(|text| number("--seed", text)).transpose()?,
+        ..JobSpec::default()
+    };
+    if job.workload == "conv" {
+        for flag in ["--accel", "--dims", "--capacity", "--base", "--batch"] {
+            if flags.contains_key(flag) {
+                eprintln!(
+                    "axi4mlir-explore: note: {flag} is ignored for conv (the \u{a7}IV-D \
+                     accelerator is configured by the layer; use --layer)"
+                );
+            }
+        }
+        if job.sweep_cache_tiling || !job.cpus.is_empty() {
+            eprintln!(
+                "axi4mlir-explore: note: conv kernels never cache-tile; the tiling/host axes \
+                 are dropped by the conv legality rules"
+            );
+        }
+        job.layer = Some(get("--layer").unwrap_or(SMOKE_LAYER).to_owned());
+    } else {
+        let base: i64 = match get("--base") {
+            Some(text) => number("--base", text)?,
+            None if smoke => 8,
+            None => 16,
+        };
+        // `v3` takes `--base` as its size; `v4:8` is the `v4_8` label.
+        let accel_label = |token: String| match token.split_once(':') {
+            Some((name, size)) => format!("{name}_{size}"),
+            None => format!("{token}_{base}"),
+        };
+        job.accels = get("--accel")
+            .map_or_else(|| vec!["v4".to_owned()], list)
+            .into_iter()
+            .map(accel_label)
+            .collect();
+        job.dims = Some(match get("--dims") {
+            Some(text) => {
+                let p = parse_dims(text).ok_or(format!("invalid --dims `{text}` (want MxNxK)"))?;
+                (p.m, p.n, p.k)
+            }
+            None if smoke && job.workload == "batched" => (8, 8, 8),
+            None if smoke => (16, 16, 16),
+            None => (256, 256, 256),
+        });
+        job.batch = match get("--batch") {
+            Some(text) => Some(number("--batch", text)?),
+            None => (smoke && job.workload == "batched").then_some(2),
+        };
+        job.capacity_words =
+            get("--capacity").map(|text| number("--capacity", text)).transpose()?;
+    }
+
+    let cache_dir = get("--cache-dir").map(PathBuf::from);
+    let warm_start = flags.contains_key("--warm-start");
+    if warm_start && cache_dir.is_none() {
+        return Err("--warm-start fits from the loaded cache; pass --cache-dir DIR".to_owned());
+    }
+    let hub = get("--hub").map(str::to_owned);
+    if hub.is_some() && (cache_dir.is_some() || warm_start) {
+        return Err("--hub is incompatible with --cache-dir/--warm-start (the hub owns the \
+                    shared cache; configure it on the daemon)"
+            .to_owned());
+    }
+    let max_default_workers = if smoke { 2 } else { 8 };
+    let workers = match get("--workers") {
+        Some(text) => number("--workers", text)?,
+        None => {
+            std::thread::available_parallelism().map_or(2, |n| n.get()).min(max_default_workers)
+        }
+    };
+    let json_dir = PathBuf::from(get("--json").unwrap_or("."));
+    Ok(Request { job, workers, cache_dir, warm_start, hub, json_dir })
+}
+
+/// Runs the job on a hub daemon, streaming progress to stdout, and
 /// returns the report the `done` event carried. The sweep itself goes
 /// through [`run_resilient`]: a dropped event stream is recovered by
 /// reconnecting and `follow`ing the job, so a long sweep survives the
 /// network hiccups the chaos suite injects.
-fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
+fn run_on_hub(addr: &str, job: &JobSpec) -> Result<ExploreReport, String> {
     let fail = |diag: axi4mlir_support::diag::Diagnostic| diag.message;
     {
         // A short-lived connection for the handshake banner; the job
@@ -448,7 +241,6 @@ fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
             client.info().queue_capacity
         );
     }
-    let job = request.to_job();
     let mut on_event = |event: &JsonValue| {
         let get = |name: &str| event.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
         match event.get("state").and_then(JsonValue::as_str) {
@@ -473,7 +265,7 @@ fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
             _ => {}
         }
     };
-    run_resilient(addr, &job, 3, &mut on_event).map_err(fail)
+    run_resilient(addr, job, 3, &mut on_event).map_err(fail)
 }
 
 /// Converts an exploration into the `BENCH_explore.json` document:
@@ -481,12 +273,12 @@ fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
 /// best-choice-vs-explored-optimum gap in the context block, and (since
 /// schema v2) a top-level `pareto` section with the non-dominated front
 /// under the requested objectives.
-fn to_report(request: &Request, report: &ExploreReport, front: &[usize]) -> BenchReport {
+fn to_report(workers: usize, report: &ExploreReport, front: &[usize]) -> BenchReport {
     let mut out = BenchReport::new("explore")
         .context("workload", report.workload.clone())
         .context("space", report.space.clone())
         .context("search", report.search.clone())
-        .context("workers", request.workers)
+        .context("workers", workers)
         .context("objectives", objectives_json(report))
         .context("space_size", report.space_size)
         .context("pruned_out", report.pruned_out)
@@ -593,6 +385,8 @@ fn objectives_json(report: &ExploreReport) -> JsonValue {
 /// the entry metrics of the same name while occupancy's score — the
 /// *idle* fraction — is distinguished from the raw `occupancy` entry
 /// metric.
+///
+/// [`Objective::metric_key`]: axi4mlir_core::explore::Objective::metric_key
 fn pareto_section(report: &ExploreReport, front: &[usize]) -> JsonValue {
     let members: Vec<JsonValue> = front
         .iter()
@@ -617,122 +411,102 @@ fn pareto_section(report: &ExploreReport, front: &[usize]) -> JsonValue {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let request = match request_from_args(&args) {
-        Ok(request) => request,
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("axi4mlir-explore: {message}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let request = request_from_args(args)?;
+    let explore = request.job.build().map_err(|diag| diag.to_string())?;
 
     if let Some(addr) = &request.hub {
-        let report = match run_on_hub(addr, &request) {
-            Ok(report) => report,
-            Err(message) => {
-                eprintln!("axi4mlir-explore: {message}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return render(&request, &report, &args, None);
+        let report = run_on_hub(addr, &request.job)?;
+        return render(&report, request.workers, &request.json_dir);
     }
 
-    let mut explorer = match (&request.cache_dir, &request.cache) {
-        (Some(dir), _) => match Explorer::with_cache_dir(dir) {
-            Ok(explorer) => {
-                let shards = explorer.shard_counts();
-                println!(
-                    "loaded {} cached results across {} shards from {}",
-                    explorer.cache_len(),
-                    shards.len(),
-                    dir.display()
-                );
-                for (shard, count) in &shards {
-                    println!("  shard {shard}: {count} entries");
-                }
-                explorer
-            }
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: {diag}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(path)) => match Explorer::with_cache_file(path) {
-            Ok(explorer) => {
-                println!("loaded {} cached results from {}", explorer.cache_len(), path.display());
-                explorer
-            }
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: {diag}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => Explorer::new(),
-    };
-    if let Some(path) = &request.warm_start {
-        // The common case points --warm-start at the --cache file (or
-        // --cache-dir) the explorer just loaded: fit from the in-memory
-        // entries instead of parsing the same documents twice.
-        let loaded_here = request.cache.as_deref() == Some(path.as_path())
-            || request.cache_dir.as_deref() == Some(path.as_path());
-        let model = if loaded_here {
-            explorer.transfer_model()
-        } else {
-            match result_cache::load(path) {
-                Ok(entries) => TransferModel::fit(&entries),
-                Err(diag) => {
-                    eprintln!("axi4mlir-explore: {diag}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        if model.is_empty() {
-            println!("warm start: no usable observations in {} (running cold)", path.display());
-        } else {
+    let mut explorer = match &request.cache_dir {
+        Some(dir) => {
+            let explorer = Explorer::with_cache_dir(dir).map_err(|diag| diag.to_string())?;
+            let shards = explorer.shard_counts();
             println!(
-                "warm start: {} observations fitted from {}",
-                model.observations(),
-                path.display()
+                "loaded {} cached results across {} shards from {}",
+                explorer.cache_len(),
+                shards.len(),
+                dir.display()
             );
+            for (shard, count) in &shards {
+                println!("  shard {shard}: {count} entries");
+            }
+            explorer
+        }
+        None => Explorer::new(),
+    };
+    if request.warm_start {
+        let model = explorer.transfer_model();
+        if model.is_empty() {
+            println!("warm start: no usable observations in the cache (running cold)");
+        } else {
+            println!("warm start: {} observations fitted from the cache", model.observations());
             explorer.set_warm_start(model);
         }
     }
 
-    let objective_labels: Vec<&str> = request.objectives.iter().map(Objective::label).collect();
+    let objective_labels: Vec<&str> = explore.objectives.iter().map(|o| o.label()).collect();
     println!(
         "exploring {} ({} search, {} workers, prune {:?}, objectives {})\n",
-        request.space.as_dyn().describe(),
-        request.search.label(),
+        explore.space.as_dyn().describe(),
+        explore.search.label(),
         request.workers,
-        request.prune,
+        explore.prune,
         objective_labels.join("+"),
     );
-    let report = match explorer.explore_with_objectives(
-        request.space.as_dyn(),
-        request.prune,
-        &request.search,
-        request.workers,
-        &request.objectives,
-    ) {
-        Ok(report) => report,
-        Err(diag) => {
-            eprintln!("axi4mlir-explore: {diag}");
-            return ExitCode::FAILURE;
-        }
-    };
-    render(&request, &report, &args, Some(&explorer))
+    let report = explorer
+        .explore_with_objectives(
+            explore.space.as_dyn(),
+            explore.prune,
+            &explore.search,
+            request.workers,
+            &explore.objectives,
+        )
+        .map_err(|diag| diag.to_string())?;
+    render(&report, request.workers, &request.json_dir)?;
+
+    if let Some(dir) = &request.cache_dir {
+        persist_cache(&explorer, dir)?;
+    }
+    Ok(())
 }
 
-/// Renders the human summary and `BENCH_explore.json`, then persists
-/// the cache (local sweeps only — hub sweeps pass no explorer because
-/// the daemon owns the cache). Shared verbatim by the local and `--hub`
-/// paths: the output document cannot depend on where the sweep ran.
-fn render(
-    request: &Request,
-    report: &ExploreReport,
-    args: &[String],
-    explorer: Option<&Explorer>,
-) -> ExitCode {
-    let objective_labels: Vec<&str> = request.objectives.iter().map(Objective::label).collect();
+/// Checkpoints the explorer's cache into its shard directory (dirty
+/// shards only) and lists the shards.
+fn persist_cache(explorer: &Explorer, dir: &Path) -> Result<(), String> {
+    let stats =
+        explorer.save_cache_dir(dir).map_err(|diag| format!("saving the cache failed: {diag}"))?;
+    println!(
+        "cache: {} results persisted to {} ({} shards written, {} clean)",
+        stats.entries,
+        dir.display(),
+        stats.written.len(),
+        stats.skipped
+    );
+    for (shard, count) in explorer.shard_counts() {
+        println!("  shard {shard}: {count} entries");
+    }
+    Ok(())
+}
+
+/// Renders the human summary and writes `BENCH_explore.json`. Shared
+/// verbatim by the local and `--hub` paths: the output document cannot
+/// depend on where the sweep ran. The report is written before the
+/// local path persists its cache, so the sweep's output survives even
+/// when cache persistence fails.
+fn render(report: &ExploreReport, workers: usize, json_dir: &Path) -> Result<(), String> {
+    let objective_labels: Vec<&str> = report.objectives.iter().map(|o| o.label()).collect();
     // The measured space, best first.
     let mut ranked: Vec<_> = report.evaluations.iter().collect();
     ranked.sort_by(|a, b| a.task_clock_ms.total_cmp(&b.task_clock_ms));
@@ -813,45 +587,9 @@ fn render(
         _ => println!("this space has no analytical heuristic pick"),
     }
 
-    // Write the report before touching the cache file: the sweep's
-    // output must survive even when cache persistence fails.
-    let dir = axi4mlir_bench::report::json_dir_from_args(args.iter().cloned())
-        .unwrap_or_else(|| PathBuf::from("."));
-    match to_report(request, report, &front).write_to_dir(&dir) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(err) => {
-            eprintln!("axi4mlir-explore: writing the report failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let (Some(dir), Some(explorer)) = (&request.cache_dir, explorer) {
-        match explorer.save_cache_dir(dir) {
-            Ok(stats) => {
-                println!(
-                    "cache: {} results persisted to {} ({} shards written, {} clean)",
-                    stats.entries,
-                    dir.display(),
-                    stats.written.len(),
-                    stats.skipped
-                );
-                for (shard, count) in explorer.shard_counts() {
-                    println!("  shard {shard}: {count} entries");
-                }
-            }
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: saving the cache failed: {diag}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if let (Some(path), Some(explorer)) = (&request.cache, explorer) {
-        match explorer.save_cache(path) {
-            Ok(total) => println!("cache: {total} results persisted to {}", path.display()),
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: saving the cache failed: {diag}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    let path = to_report(workers, report, &front)
+        .write_to_dir(json_dir)
+        .map_err(|err| format!("writing the report failed: {err}"))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

@@ -6,25 +6,23 @@
 //! ```text
 //! axi4mlir-opt input.mlir --config accel.json [--accel NAME] [--flow Cs]
 //!              [--cache-tile N] [--no-lower] [--coalesce] [--print-ir-after-all]
-//!              [--timing] [--lint] [--verify-each]
+//!              [--timing] [--verify-each]
 //! ```
 //!
 //! Without `--config` the input must already carry the Fig. 6a trait
 //! attributes (e.g. IR produced by `--print-ir-after-all`), and only the
 //! codegen/lowering passes run. Pass `-` as the input to read stdin.
 //! `--timing` prints a per-pass wall-clock report to stderr (MLIR's
-//! `-mlir-timing` workflow). `--lint` runs the static lint suite over the
-//! parsed input before the pipeline and aborts on any `lint::*` error.
-//! `--verify-each` additionally runs the dialect verifier (on top of the
-//! always-on structural verifier) between every pass, so the pass that
-//! breaks an invariant is blamed by name.
+//! `-mlir-timing` workflow). `--verify-each` additionally runs the
+//! dialect verifier (on top of the always-on structural verifier) between
+//! every pass, so the pass that breaks an invariant is blamed by name.
+//! The static lint suite is the separate `axi4mlir-lint` tool.
 
 use std::io::Read as _;
 use std::process::ExitCode;
 
 use axi4mlir_config::SystemConfig;
 use axi4mlir_core::driver::PipelineBuilder;
-use axi4mlir_dialects::lint;
 use axi4mlir_dialects::verify::verify_dialects;
 use axi4mlir_ir::parser::parse_module;
 use axi4mlir_ir::pass::render_timings;
@@ -41,14 +39,13 @@ struct Options {
     coalesce: bool,
     print_after_all: bool,
     timing: bool,
-    lint: bool,
     verify_each: bool,
 }
 
 fn usage() -> &'static str {
     "usage: axi4mlir-opt <input.mlir | -> [--config accel.json] [--accel NAME] \
      [--flow Ns|As|Bs|Cs|<name>] [--cache-tile N] [--no-lower] [--coalesce] \
-     [--print-ir-after-all] [--timing] [--lint] [--verify-each]"
+     [--print-ir-after-all] [--timing] [--verify-each]"
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -63,7 +60,6 @@ fn parse_args() -> Result<Options, String> {
         coalesce: false,
         print_after_all: false,
         timing: false,
-        lint: false,
         verify_each: false,
     };
     while let Some(arg) = args.next() {
@@ -79,7 +75,6 @@ fn parse_args() -> Result<Options, String> {
             "--coalesce" => opts.coalesce = true,
             "--print-ir-after-all" => opts.print_after_all = true,
             "--timing" => opts.timing = true,
-            "--lint" => opts.lint = true,
             "--verify-each" => opts.verify_each = true,
             "--help" | "-h" => return Err(usage().to_owned()),
             other if opts.input.is_empty() && !other.starts_with('-') || other == "-" => {
@@ -105,15 +100,6 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("cannot read {}: {e}", opts.input))?
     };
     let mut module = parse_module(&text).map_err(|d| d.to_string())?;
-
-    if opts.lint {
-        let mut diags = DiagnosticEngine::new();
-        let result = lint::lint_module(&module.ctx, module.top(), &mut diags);
-        for d in diags.diagnostics() {
-            eprintln!("{d}");
-        }
-        result.map_err(|d| format!("lint failed: {}", d.message))?;
-    }
 
     let mut builder = PipelineBuilder::new()
         .pre_annotated()

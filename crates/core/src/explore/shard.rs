@@ -191,7 +191,8 @@ fn compact(entries: HashMap<CandidateKey, CachedEval>) -> HashMap<CandidateKey, 
 /// this is what makes rung-boundary checkpoints cheap. A merged shard
 /// exceeding [`SHARD_CAP`] is compacted first (newest seed per
 /// configuration wins), with a stderr note. Each shard write is atomic
-/// (staging file + rename), exactly like [`cache::save`].
+/// (staging file + rename), so a crash mid-save leaves the previous
+/// shard loadable.
 ///
 /// # Errors
 ///
@@ -351,6 +352,72 @@ mod tests {
         let after = load_dir(&dir).unwrap();
         assert_eq!(after.entries, blob);
         assert!(after.legacy.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_merges_with_the_shard_on_disk() {
+        let dir = std::env::temp_dir().join(format!("axi4mlir-shard-merge-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let shard: BTreeSet<String> = [shard_name("matmul 8x8x8")].into();
+        // Two savers that each hold one entry of the same shard.
+        let first: HashMap<_, _> = [(key("matmul 8x8x8", 1), eval(1.0))].into();
+        let second: HashMap<_, _> = [(key("matmul 8x8x8", 2), eval(2.0))].into();
+        save_dir(&dir, &first, &shard).unwrap();
+        save_dir(&dir, &second, &shard).unwrap();
+        assert_eq!(load_dir(&dir).unwrap().entries, merge(&first, &second), "old entries survive");
+        let leftovers = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .count();
+        assert_eq!(leftovers, 0, "no staging file left behind");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(load_dir(&dir).unwrap().entries.is_empty(), "missing directories are empty");
+    }
+
+    #[test]
+    fn corrupt_shard_files_load_empty_and_are_rewritten_by_save() {
+        let dir =
+            std::env::temp_dir().join(format!("axi4mlir-shard-corrupt-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let shard = shard_name("matmul 8x8x8");
+        // A truncated document must not error the sweep: it loads as an
+        // empty cache...
+        std::fs::write(
+            shard_path(&dir, &shard),
+            "{\"schema\": \"axi4mlir-explore-cache/v2\", \"en",
+        )
+        .unwrap();
+        assert!(load_dir(&dir).unwrap().entries.is_empty(), "corrupt shards are disposable");
+        // ...and the next save of that shard replaces it with a valid one.
+        let entries: HashMap<_, _> = [(key("matmul 8x8x8", 1), eval(1.0))].into();
+        save_dir(&dir, &entries, &[shard].into()).unwrap();
+        assert_eq!(load_dir(&dir).unwrap().entries, entries);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_crash_mid_save_leaves_the_old_shard_loadable() {
+        let dir = std::env::temp_dir().join(format!("axi4mlir-shard-crash-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let shard = shard_name("matmul 8x8x8");
+        let dirty: BTreeSet<String> = [shard.clone()].into();
+        let mut entries: HashMap<_, _> = [(key("matmul 8x8x8", 1), eval(1.0))].into();
+        save_dir(&dir, &entries, &dirty).unwrap();
+
+        // Model a process killed mid-save: the staging file holds a
+        // half-written document and the rename never happened. The shard
+        // is untouched and still loads; the leftover bothers nobody.
+        let path = shard_path(&dir, &shard);
+        std::fs::write(cache::staging_path(&path), "{\"schema\": \"axi4mlir-explore-c").unwrap();
+        assert_eq!(load_dir(&dir).unwrap().entries, entries, "old contents intact");
+
+        // A later save still merges and completes the rename.
+        entries.insert(key("matmul 8x8x8", 2), eval(2.0));
+        save_dir(&dir, &entries, &dirty).unwrap();
+        assert_eq!(load_dir(&dir).unwrap().entries, entries);
         std::fs::remove_dir_all(&dir).ok();
     }
 

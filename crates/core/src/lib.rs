@@ -67,8 +67,7 @@ pub use driver::{
     Session, Workload,
 };
 pub use explore::{
-    Candidate, CandidateKey, DesignSpace, Evaluation, ExploreReport, ExploreSpec, Explorer, Prune,
-    Search,
+    Candidate, CandidateKey, DesignSpace, Evaluation, ExploreReport, Explorer, Prune, Search,
 };
 pub use options::{CacheTiling, PipelineOptions};
 pub use pipeline::CompileAndRun;

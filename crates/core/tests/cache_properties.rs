@@ -10,7 +10,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use axi4mlir_config::{CacheTiling, CpuModel};
-use axi4mlir_core::explore::cache::{load, parse, render, save, CachedEval, CACHE_SCHEMA_V1};
+use axi4mlir_core::explore::cache::{load, parse, render, CachedEval, CACHE_SCHEMA_V1};
 use axi4mlir_core::explore::{CandidateKey, OptionsPoint};
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::json::JsonValue;
@@ -208,17 +208,18 @@ proptest! {
 
 proptest! {
     // Filesystem cases are slower; fewer of them still covers the
-    // save/load path (atomic staging, merge) on arbitrary keys.
+    // file load path on arbitrary keys (shard_properties covers the
+    // directory save/load path).
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The full persistence path: load(save(x)) == x through a real file.
+    /// A saved document loads back bit-exactly through a real file.
     #[test]
     fn load_save_round_trips_through_the_filesystem(entries in entries(6), tag in 0u64..u64::MAX) {
         let dir = std::env::temp_dir()
             .join(format!("axi4mlir-cache-prop-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_cache.json");
-        save(&path, &entries).expect("save");
+        std::fs::write(&path, render(&entries)).expect("save");
         let loaded = load(&path).expect("load");
         std::fs::remove_dir_all(&dir).ok();
         assert_same(&entries, &loaded)?;

@@ -460,7 +460,7 @@ pub fn lint_module(
     diags.result()
 }
 
-/// A [`Pass`] wrapper so `--lint` can run inside a pipeline.
+/// A [`Pass`] wrapper so the lint suite can run inside a pipeline.
 #[derive(Debug, Default)]
 pub struct LintPass;
 

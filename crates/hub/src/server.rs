@@ -36,12 +36,11 @@
 //!
 //! ## Durability
 //!
-//! With a `--cache` path, the hub loads the persisted cache at startup
-//! and checkpoints after every completed rung and at shutdown — each
-//! checkpoint is the PR-4 load/merge/atomic-rename path, so a `kill
-//! -TERM` at any instant leaves a loadable file. With a `--cache-dir`
-//! the same checkpoints go to the sharded layout instead, and each one
-//! rewrites only the shards dirtied since the last flush.
+//! With a `--cache-dir`, the hub loads the sharded cache at startup and
+//! checkpoints after every completed rung and at shutdown. Each
+//! checkpoint rewrites only the shards dirtied since the last flush, and
+//! each shard write is a merge plus atomic rename, so a `kill -TERM` at
+//! any instant leaves a loadable directory.
 //! SIGTERM/ctrl-c (via [`HubConfig::stop`]) and the `shutdown` request
 //! trigger the same graceful sequence: executors cancel their sweeps
 //! at the next rung boundary, queued jobs fail with a `shutting down`
@@ -91,11 +90,8 @@ pub struct HubConfig {
     pub sim_workers: usize,
     /// Queue slots; a `submit` beyond this is rejected.
     pub queue_capacity: usize,
-    /// Cache file to load at startup and checkpoint into; `None` keeps
-    /// the cache purely in-memory.
-    pub cache_path: Option<PathBuf>,
-    /// Sharded cache directory; when set it wins over
-    /// [`Self::cache_path`] and checkpoints rewrite only dirty shards.
+    /// Sharded cache directory to load at startup and checkpoint into
+    /// (dirty shards only); `None` keeps the cache purely in-memory.
     pub cache_dir: Option<PathBuf>,
     /// `axi4mlir-worker` addresses to fan measurements out to; empty
     /// keeps the local in-process measurement pool.
@@ -116,7 +112,6 @@ impl Default for HubConfig {
             workers: 2,
             sim_workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             queue_capacity: 16,
-            cache_path: None,
             cache_dir: None,
             measure_workers: Vec::new(),
             event_buffer: 64,
@@ -298,20 +293,18 @@ impl Shared {
         act(&mut self.stats.lock().expect("hub stats poisoned"))
     }
 
-    /// Checkpoints the shared cache; a hub without a cache location
-    /// reports its in-memory entry count. A `--cache-dir` flushes only
-    /// the shards dirtied since the previous checkpoint, a `--cache`
-    /// file takes the load/merge/atomic-rename path.
+    /// Checkpoints the shared cache, flushing only the shards dirtied
+    /// since the previous checkpoint; a hub without a cache directory
+    /// reports its in-memory entry count.
     fn checkpoint(&self) -> Result<usize, Diagnostic> {
         if let Some(plan) = fault::active() {
             if plan.tick("hub.checkpoint") == Some(FaultAction::Fail) {
                 return Err(Diagnostic::error("injected checkpoint failure at hub.checkpoint"));
             }
         }
-        match (&self.config.cache_dir, &self.config.cache_path) {
-            (Some(dir), _) => self.explorer.save_cache_dir(dir).map(|stats| stats.entries),
-            (None, Some(path)) => self.explorer.save_cache(path),
-            (None, None) => Ok(self.explorer.cache_len()),
+        match &self.config.cache_dir {
+            Some(dir) => self.explorer.save_cache_dir(dir).map(|stats| stats.entries),
+            None => Ok(self.explorer.cache_len()),
         }
     }
 
@@ -408,10 +401,9 @@ impl Hub {
     /// Returns a [`Diagnostic`] for bind failures and unreadable cache
     /// files.
     pub fn bind(config: HubConfig) -> Result<Hub, Diagnostic> {
-        let mut explorer = match (&config.cache_dir, &config.cache_path) {
-            (Some(dir), _) => Explorer::with_cache_dir(dir)?,
-            (None, Some(path)) => Explorer::with_cache_file(path)?,
-            (None, None) => Explorer::new(),
+        let mut explorer = match &config.cache_dir {
+            Some(dir) => Explorer::with_cache_dir(dir)?,
+            None => Explorer::new(),
         };
         if !config.measure_workers.is_empty() {
             let pool = RemotePool::new(config.measure_workers.clone())

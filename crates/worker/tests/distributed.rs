@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use axi4mlir_core::explore::{
-    ExploreSpec, Explorer, HalvingSpec, JobSpec, Objective, ProgressEvent, Prune, RemotePool,
-    Search,
+    AccelInstance, Explorer, HalvingSpec, JobSpec, MatMulSpace, Objective, ProgressEvent, Prune,
+    RemotePool, Search,
 };
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
 use axi4mlir_worker::{Worker, WorkerConfig};
@@ -48,14 +48,18 @@ fn spawn_worker_binary() -> (Child, String) {
 fn remote_sweeps_are_bit_identical_to_the_local_pool() {
     // 32 candidates, exhaustively measured: every result crosses the
     // wire, so any nondeterminism in the fan-out would show.
-    let spec = ExploreSpec::new(MatMulProblem::new(16, 16, 16)).base(8).seed(7).workers(4);
-    let local = Explorer::new().explore(&spec).expect("local sweep");
+    let space =
+        MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(vec![AccelInstance::v4(8)]).seed(7);
+    let sweep = |explorer: &Explorer| {
+        explorer.explore_with_objectives(&space, Prune::None, &Search::Exhaustive, 4, &[])
+    };
+    let local = sweep(&Explorer::new()).expect("local sweep");
     assert_eq!(local.measure_backend, "local");
 
     let addrs = vec![start_worker(2), start_worker(2)];
     let mut explorer = Explorer::new();
     explorer.set_measure_backend(Box::new(RemotePool::new(addrs)));
-    let remote = explorer.explore(&spec).expect("remote sweep");
+    let remote = sweep(&explorer).expect("remote sweep");
 
     assert_eq!(remote.measure_backend, "remote:2");
     assert_eq!(local.evaluations.len(), remote.evaluations.len());
@@ -81,10 +85,11 @@ fn remote_sweeps_are_bit_identical_to_the_local_pool() {
 fn killing_a_worker_mid_sweep_only_degrades_throughput() {
     // A halving sweep with several rungs on a bigger space, so the
     // kill lands with plenty of measurements still to schedule.
-    let space = ExploreSpec::new(MatMulProblem::new(32, 32, 32)).base(8).seed(7).space();
+    let space =
+        MatMulSpace::new(MatMulProblem::new(32, 32, 32)).accels(vec![AccelInstance::v4(8)]).seed(7);
     let search = Search::Halving(HalvingSpec::default());
     let baseline = Explorer::new()
-        .explore_space(&space, Prune::None, &search, 2)
+        .explore_with_objectives(&space, Prune::None, &search, 2, &[])
         .expect("local baseline sweep");
     assert!(baseline.sims_performed > 0);
 

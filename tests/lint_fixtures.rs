@@ -1,6 +1,6 @@
 //! Lint fixtures: one module per violation class under `tests/lint/`,
 //! each flagged with the expected machine-readable `lint::*` code by the
-//! same lint suite `axi4mlir-opt --lint` and `axi4mlir-lint` run. Also
+//! same lint suite `axi4mlir-lint` runs. Also
 //! pins the inverse property — every golden pipeline input is
 //! lint-clean and compiles with the dialect verifier after every pass
 //! (the `--verify-each` mode).
@@ -60,7 +60,8 @@ fn shape_tile_fixture_is_flagged() {
 
 /// Every golden input is lint-clean (no error-severity findings) and
 /// survives the full pipeline with the dialect verifier re-run after
-/// every pass — exactly what `axi4mlir-opt --lint --verify-each` does.
+/// every pass — what `axi4mlir-lint` followed by
+/// `axi4mlir-opt --verify-each` checks.
 #[test]
 fn golden_inputs_are_lint_clean_and_verify_each_pass() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
