@@ -57,7 +57,8 @@ use std::process::ExitCode;
 
 use axi4mlir_bench::report::{BenchEntry, BenchReport};
 use axi4mlir_core::explore::jobspec::parse_dims;
-use axi4mlir_core::explore::{ExploreReport, Explorer, JobSpec};
+use axi4mlir_core::explore::{ExploreReport, Explorer, JobSpec, ProgressEvent};
+use axi4mlir_hub::protocol::{EventState, Reply};
 use axi4mlir_hub::{run_resilient, HubClient};
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_support::json::JsonValue;
@@ -241,26 +242,27 @@ fn run_on_hub(addr: &str, job: &JobSpec) -> Result<ExploreReport, String> {
             client.info().queue_capacity
         );
     }
-    let mut on_event = |event: &JsonValue| {
-        let get = |name: &str| event.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
-        match event.get("state").and_then(JsonValue::as_str) {
-            Some("queued") => println!("hub: job {} queued", get("job")),
-            Some("running") => println!("hub: job {} running", get("job")),
-            Some("space-ready") => println!(
-                "hub: space ready — {} legal candidates, {} survive the prune",
-                get("space_size"),
-                get("survivors")
+    let mut on_event = |frame: &JsonValue| {
+        let Ok(Reply::Event { job, state }) = Reply::from_json(frame) else { return };
+        match state {
+            EventState::Queued => println!("hub: job {job} queued"),
+            EventState::Running { .. } => println!("hub: job {job} running"),
+            EventState::Progress(ProgressEvent::SpaceReady { space_size, survivors }) => println!(
+                "hub: space ready — {space_size} legal candidates, {survivors} survive the prune"
             ),
-            Some("rung-complete") => println!(
-                "hub: rung {} complete — {} sims ({} full), {} cache hits, {} survivors",
-                event.get("fidelity").and_then(JsonValue::as_str).unwrap_or("?"),
-                get("sims_performed"),
-                get("full_sims_performed"),
-                get("cache_hits"),
-                get("survivors")
+            EventState::Progress(ProgressEvent::RungComplete {
+                fidelity,
+                survivors,
+                sims_performed,
+                cache_hits,
+                full_sims_performed,
+            }) => println!(
+                "hub: rung {} complete — {sims_performed} sims ({full_sims_performed} full), \
+                 {cache_hits} cache hits, {survivors} survivors",
+                fidelity.label()
             ),
-            Some("done") => {
-                println!("hub: job {} done — {} full sims", get("job"), get("full_sims_performed"))
+            EventState::Done { full_sims_performed, .. } => {
+                println!("hub: job {job} done — {full_sims_performed} full sims")
             }
             _ => {}
         }
@@ -392,20 +394,17 @@ fn pareto_section(report: &ExploreReport, front: &[usize]) -> JsonValue {
         .iter()
         .map(|&index| {
             let eval = &report.evaluations[index];
-            let mut fields = vec![("id".to_owned(), JsonValue::from(eval.candidate.label()))];
+            let mut fields = vec![("id", JsonValue::from(eval.candidate.label()))];
             fields.extend(report.objectives.iter().map(|&objective| {
-                (
-                    objective.metric_key().to_owned(),
-                    JsonValue::Float(eval.objective_value(objective)),
-                )
+                (objective.metric_key(), JsonValue::Float(eval.objective_value(objective)))
             }));
             JsonValue::object(fields)
         })
         .collect();
     JsonValue::object([
-        ("objectives".to_owned(), objectives_json(report)),
-        ("size".to_owned(), JsonValue::from(front.len() as u64)),
-        ("front".to_owned(), JsonValue::Array(members)),
+        ("objectives", objectives_json(report)),
+        ("size", JsonValue::from(front.len() as u64)),
+        ("front", JsonValue::Array(members)),
     ])
 }
 

@@ -97,8 +97,8 @@ fn main() -> ExitCode {
     }
 
     let collection = JsonValue::object([
-        ("schema".to_owned(), JsonValue::from(COLLECTION_SCHEMA)),
-        ("reports".to_owned(), JsonValue::Array(reports)),
+        ("schema", JsonValue::from(COLLECTION_SCHEMA)),
+        ("reports", JsonValue::Array(reports)),
     ]);
     let out = dir.join("BENCH_all.json");
     let mut text = collection.to_json_pretty();

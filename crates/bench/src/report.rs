@@ -59,8 +59,8 @@ impl BenchEntry {
 
     fn to_json(&self) -> JsonValue {
         JsonValue::object([
-            ("id".to_owned(), JsonValue::from(self.id.clone())),
-            ("metrics".to_owned(), JsonValue::object(self.metrics.clone())),
+            ("id", JsonValue::from(self.id.clone())),
+            ("metrics", JsonValue::object(self.metrics.clone())),
         ])
     }
 }
@@ -131,17 +131,14 @@ impl BenchReport {
 
     /// The full document as a JSON value.
     pub fn to_json(&self) -> JsonValue {
-        let mut members = vec![
-            ("schema".to_owned(), JsonValue::from(SCHEMA)),
-            ("name".to_owned(), JsonValue::from(self.name.clone())),
-            ("context".to_owned(), JsonValue::object(self.context.clone())),
-            (
-                "entries".to_owned(),
-                JsonValue::Array(self.entries.iter().map(BenchEntry::to_json).collect()),
-            ),
+        let members = [
+            ("schema", JsonValue::from(SCHEMA)),
+            ("name", JsonValue::from(self.name.clone())),
+            ("context", JsonValue::object(self.context.clone())),
+            ("entries", JsonValue::Array(self.entries.iter().map(BenchEntry::to_json).collect())),
         ];
-        members.extend(self.sections.iter().cloned());
-        JsonValue::object(members)
+        let sections = self.sections.iter().map(|(name, section)| (name.as_str(), section.clone()));
+        JsonValue::object(members.into_iter().chain(sections))
     }
 
     /// Pretty-printed document text (with a trailing newline).
@@ -228,8 +225,8 @@ mod tests {
     #[test]
     fn sections_ride_after_the_entries() {
         let front = JsonValue::object([
-            ("objectives".to_owned(), JsonValue::Array(vec!["clock".into(), "traffic".into()])),
-            ("front".to_owned(), JsonValue::Array(vec![])),
+            ("objectives", JsonValue::Array(vec!["clock".into(), "traffic".into()])),
+            ("front", JsonValue::Array(vec![])),
         ]);
         let r = sample().section("pareto", front.clone());
         let parsed = JsonValue::parse(&r.render()).unwrap();

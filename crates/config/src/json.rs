@@ -26,7 +26,7 @@
 
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
 use crate::accelerator::{AcceleratorConfig, DmaInfo, KernelKind};
 use crate::cpu::CpuSpec;
@@ -91,18 +91,10 @@ impl SystemConfig {
     pub fn from_json(text: &str) -> Result<SystemConfig, Diagnostic> {
         let doc = JsonValue::parse(text)
             .map_err(|e| Diagnostic::error(format!("configuration JSON error: {}", e.message)))?;
-        let cpu_value = doc
-            .get("cpu")
-            .ok_or_else(|| Diagnostic::error("configuration must define a `cpu` section"))?;
-        let cpu = CpuSpec::from_value(cpu_value)?;
-        let accel_values =
-            doc.get("accelerators").and_then(JsonValue::as_array).ok_or_else(|| {
-                Diagnostic::error("configuration must define an `accelerators` array")
-            })?;
-        let mut accelerators = Vec::new();
-        for value in accel_values {
-            accelerators.push(convert(value)?);
-        }
+        let m = Members::of(&doc, "configuration")?;
+        let cpu = CpuSpec::from_value(m.value("cpu")?)?;
+        let accelerators = m.req::<Vec<_>>("accelerators")?;
+        let accelerators = accelerators.into_iter().map(convert).collect::<Result<_, _>>()?;
         Ok(SystemConfig { cpu, accelerators })
     }
 
@@ -112,166 +104,72 @@ impl SystemConfig {
     }
 }
 
-fn field<'v>(value: &'v JsonValue, name: &str, accel: &str) -> Result<&'v JsonValue, Diagnostic> {
-    value
-        .get(name)
-        .ok_or_else(|| Diagnostic::error(format!("accelerator {accel}: missing field `{name}`")))
-}
-
-fn string_field(value: &JsonValue, name: &str, accel: &str) -> Result<String, Diagnostic> {
-    field(value, name, accel)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| Diagnostic::error(format!("accelerator {accel}: `{name}` must be a string")))
-}
-
-fn u64_field(value: &JsonValue, name: &str, accel: &str) -> Result<u64, Diagnostic> {
-    field(value, name, accel)?.as_u64().ok_or_else(|| {
-        Diagnostic::error(format!("accelerator {accel}: `{name}` must be a non-negative integer"))
-    })
-}
-
-fn u32_field(value: &JsonValue, name: &str, accel: &str) -> Result<u32, Diagnostic> {
-    u64_field(value, name, accel)?.try_into().map_err(|_| {
-        Diagnostic::error(format!("accelerator {accel}: `{name}` does not fit in 32 bits"))
-    })
-}
-
-fn string_list(value: &JsonValue, name: &str, accel: &str) -> Result<Vec<String>, Diagnostic> {
-    field(value, name, accel)?
-        .as_array()
-        .ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {accel}: `{name}` must be an array"))
-        })?
-        .iter()
-        .map(|v| {
-            v.as_str().map(str::to_owned).ok_or_else(|| {
-                Diagnostic::error(format!("accelerator {accel}: `{name}` entries must be strings"))
-            })
-        })
-        .collect()
-}
-
 fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
-    let name = value
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| Diagnostic::error("every accelerator needs a string `name`"))?
-        .to_owned();
+    let name: String = Members::of(value, "accelerator")?.req("name")?;
+    let context = format!("accelerator {name}");
+    let m = Members::of(value, &context)?;
 
-    let kernel_name = string_field(value, "kernel", &name)?;
-    let kernel = KernelKind::from_op_name(&kernel_name).ok_or_else(|| {
+    let kernel_name: &str = m.req("kernel")?;
+    let kernel = KernelKind::from_op_name(kernel_name).ok_or_else(|| {
         Diagnostic::error(format!(
             "accelerator {name}: unsupported kernel `{kernel_name}` (expected linalg.matmul or linalg.conv_2d_nchw_fchw)"
         ))
     })?;
 
-    let dma_value = field(value, "dma_config", &name)?;
+    let dma_config = m.object("dma_config")?;
+    let id: u64 = dma_config.req("id")?;
     let dma = DmaInfo {
-        id: u32_field(dma_value, "id", &name)?,
-        input_address: u64_field(dma_value, "inputAddress", &name)?,
-        input_buffer_size: u64_field(dma_value, "inputBufferSize", &name)?,
-        output_address: u64_field(dma_value, "outputAddress", &name)?,
-        output_buffer_size: u64_field(dma_value, "outputBufferSize", &name)?,
+        id: id.try_into().map_err(|_| dma_config.invalid("id", "does not fit in 32 bits"))?,
+        input_address: dma_config.req("inputAddress")?,
+        input_buffer_size: dma_config.req("inputBufferSize")?,
+        output_address: dma_config.req("outputAddress")?,
+        output_buffer_size: dma_config.req("outputBufferSize")?,
     };
 
-    let accel_dims = field(value, "accel_size", &name)?
-        .as_array()
-        .ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {name}: `accel_size` must be an array"))
-        })?
-        .iter()
-        .map(|v| {
-            v.as_i64().ok_or_else(|| {
-                Diagnostic::error(format!(
-                    "accelerator {name}: `accel_size` entries must be integers"
-                ))
-            })
-        })
-        .collect::<Result<Vec<i64>, _>>()?;
-
-    let data_type = match value.get("data_type") {
-        None => "int32".to_owned(),
-        Some(v) => v.as_str().map(str::to_owned).ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {name}: `data_type` must be a string"))
-        })?,
-    };
-
-    let dims = string_list(value, "dims", &name)?;
-
-    let opcode_map_text = string_field(value, "opcode_map", &name)?;
-    let opcode_map = OpcodeMap::parse(&opcode_map_text)
+    let opcode_map_text: &str = m.req("opcode_map")?;
+    let opcode_map = OpcodeMap::parse(opcode_map_text)
         .map_err(|d| Diagnostic::error(format!("accelerator {name}: {}", d.message)))?;
 
+    let flow_map = m.object("opcode_flow_map")?;
     let mut flows = Vec::new();
-    let flow_members = field(value, "opcode_flow_map", &name)?.as_object().ok_or_else(|| {
-        Diagnostic::error(format!("accelerator {name}: `opcode_flow_map` must be an object"))
-    })?;
-    for (flow_name, flow_value) in flow_members {
-        let text = flow_value.as_str().ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {name}: flow `{flow_name}` must be a string"))
-        })?;
-        let flow = OpcodeFlow::parse(text).map_err(|d| {
+    for (flow_name, _) in flow_map.entries() {
+        let flow = OpcodeFlow::parse(flow_map.req(flow_name)?).map_err(|d| {
             Diagnostic::error(format!("accelerator {name}: flow `{flow_name}`: {}", d.message))
         })?;
         flows.push((flow_name.clone(), flow));
     }
 
-    let mut data = Vec::new();
-    let data_members = field(value, "data", &name)?.as_object().ok_or_else(|| {
-        Diagnostic::error(format!("accelerator {name}: `data` must be an object"))
-    })?;
-    for (arg, dims_value) in data_members {
-        let arg_dims: Vec<String> = dims_value
-            .as_array()
-            .ok_or_else(|| {
-                Diagnostic::error(format!(
-                    "accelerator {name}: data argument {arg} must list its dimensions"
-                ))
+    let data_map = m.object("data")?;
+    let data = data_map
+        .entries()
+        .iter()
+        .map(|(arg, _)| Ok((arg.clone(), data_map.req(arg)?)))
+        .collect::<Result<_, Diagnostic>>()?;
+
+    let init_opcodes = match m.opt::<&str>("init_opcodes")? {
+        None => Vec::new(),
+        Some(text) => OpcodeFlow::parse(text)
+            .map_err(|d| {
+                Diagnostic::error(format!("accelerator {name}: init_opcodes: {}", d.message))
             })?
-            .iter()
-            .map(|v| {
-                v.as_str().map(str::to_owned).ok_or_else(|| {
-                    Diagnostic::error(format!(
-                        "accelerator {name}: data argument {arg} has a non-string dimension"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        data.push((arg.clone(), arg_dims));
-    }
-
-    let selected_flow = string_field(value, "selected_flow", &name)?;
-
-    let init_opcodes = match value.get("init_opcodes") {
-        None | Some(JsonValue::Null) => Vec::new(),
-        Some(v) => {
-            let text = v.as_str().ok_or_else(|| {
-                Diagnostic::error(format!("accelerator {name}: `init_opcodes` must be a string"))
-            })?;
-            OpcodeFlow::parse(text)
-                .map_err(|d| {
-                    Diagnostic::error(format!("accelerator {name}: init_opcodes: {}", d.message))
-                })?
-                .opcode_names()
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        }
+            .opcode_names()
+            .into_iter()
+            .map(str::to_owned)
+            .collect(),
     };
 
     let config = AcceleratorConfig {
-        name,
         kernel,
         dma,
-        dims,
-        accel_dims,
+        dims: m.req("dims")?,
+        accel_dims: m.req("accel_size")?,
         data,
-        data_type,
+        data_type: m.opt("data_type")?.unwrap_or_else(|| "int32".to_owned()),
         opcode_map,
         flows,
-        selected_flow,
+        selected_flow: m.req("selected_flow")?,
         init_opcodes,
+        name,
     };
     config.validate()?;
     Ok(config)
@@ -361,7 +259,11 @@ mod tests {
     fn missing_fields_name_the_field() {
         let text = SAMPLE.replace("\"opcode_map\":", "\"not_opcode_map\":");
         let err = SystemConfig::from_json(&text).unwrap_err();
-        assert!(err.message.contains("missing field `opcode_map`"), "{}", err.message);
+        assert!(
+            err.message.contains("accelerator v3_8 requires a `opcode_map`"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ use std::path::Path;
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
 use super::space::{CandidateKey, OptionsPoint};
 
@@ -86,55 +86,59 @@ pub struct CachedEval {
 /// (and the hub wire protocol, via [`super::wire`]) spells keys in.
 pub fn key_to_json(key: &CandidateKey) -> JsonValue {
     JsonValue::object([
-        ("workload".to_owned(), key.workload.clone().into()),
-        ("accel".to_owned(), key.accel.clone().into()),
-        ("flow".to_owned(), key.flow.clone().into()),
-        (
-            "tile".to_owned(),
-            JsonValue::Array(vec![key.tile.0.into(), key.tile.1.into(), key.tile.2.into()]),
-        ),
-        ("coalesce".to_owned(), key.options.coalesce.into()),
-        ("specialized_copies".to_owned(), key.options.specialized_copies.into()),
-        ("cache_tiling".to_owned(), key.options.cache_tiling.label().into()),
-        ("cpu".to_owned(), key.options.cpu.label().into()),
-        ("seed".to_owned(), key.seed.into()),
+        ("workload", key.workload.clone().into()),
+        ("accel", key.accel.clone().into()),
+        ("flow", key.flow.clone().into()),
+        ("tile", vec![key.tile.0, key.tile.1, key.tile.2].into()),
+        ("coalesce", key.options.coalesce.into()),
+        ("specialized_copies", key.options.specialized_copies.into()),
+        ("cache_tiling", key.options.cache_tiling.label().into()),
+        ("cpu", key.options.cpu.label().into()),
+        ("seed", key.seed.into()),
     ])
 }
 
 /// Parses a [`CandidateKey`] from its JSON object form. With
 /// `migrate_v1`, absent `cache_tiling`/`cpu` members fill the defaults a
-/// v1 cache document was implicitly measured under; without it they make
-/// the key unparseable (`None`).
-pub fn key_from_json(value: &JsonValue, migrate_v1: bool) -> Option<CandidateKey> {
-    let tile = value.get("tile")?.as_array()?;
-    let edge = |i: usize| tile.get(i).and_then(JsonValue::as_i64);
+/// v1 cache document was implicitly measured under; without it they are
+/// required.
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] naming the missing or malformed member.
+pub fn key_from_json(value: &JsonValue, migrate_v1: bool) -> Result<CandidateKey, Diagnostic> {
+    let m = Members::of(value, "candidate key")?;
     // The v2 members. In a v1 document they are absent by construction —
     // every measurement was implicitly taken at the defaults, which
     // migration fills. In a v2 document a missing (or malformed) member
     // is a broken entry: defaulting it would serve some other
     // configuration's measurement under the default-axes key.
-    let cache_tiling = match value.get("cache_tiling") {
-        None if migrate_v1 => CacheTiling::Auto,
-        None => return None,
-        Some(tag) => CacheTiling::parse(tag.as_str()?)?,
+    let cache_tiling = if migrate_v1 && m.get("cache_tiling").is_none() {
+        CacheTiling::Auto
+    } else {
+        let tag = m.req("cache_tiling")?;
+        CacheTiling::parse(tag)
+            .ok_or_else(|| m.invalid("cache_tiling", format!("`{tag}` is not a tiling label")))?
     };
-    let cpu = match value.get("cpu") {
-        None if migrate_v1 => CpuModel::PynqZ2,
-        None => return None,
-        Some(tag) => CpuModel::parse(tag.as_str()?)?,
+    let cpu = if migrate_v1 && m.get("cpu").is_none() {
+        CpuModel::PynqZ2
+    } else {
+        let tag = m.req("cpu")?;
+        CpuModel::parse(tag)
+            .ok_or_else(|| m.invalid("cpu", format!("`{tag}` is not a known host")))?
     };
-    Some(CandidateKey {
-        workload: value.get("workload")?.as_str()?.to_owned(),
-        accel: value.get("accel")?.as_str()?.to_owned(),
-        flow: value.get("flow")?.as_str()?.to_owned(),
-        tile: (edge(0)?, edge(1)?, edge(2)?),
+    Ok(CandidateKey {
+        workload: m.req("workload")?,
+        accel: m.req("accel")?,
+        flow: m.req("flow")?,
+        tile: m.req("tile")?,
         options: OptionsPoint {
-            coalesce: value.get("coalesce")?.as_bool()?,
-            specialized_copies: value.get("specialized_copies")?.as_bool()?,
+            coalesce: m.req("coalesce")?,
+            specialized_copies: m.req("specialized_copies")?,
             cache_tiling,
             cpu,
         },
-        seed: value.get("seed")?.as_u64()?,
+        seed: m.req("seed")?,
     })
 }
 
@@ -181,12 +185,17 @@ pub fn counters_to_json(counters: &PerfCounters) -> JsonValue {
 
 /// Parses a counter set serialized by [`counters_to_json`]; every field
 /// must be present.
-pub fn counters_from_json(value: &JsonValue) -> Option<PerfCounters> {
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] naming the missing or malformed counter.
+pub fn counters_from_json(value: &JsonValue) -> Result<PerfCounters, Diagnostic> {
+    let m = Members::of(value, "counters")?;
     let mut counters = PerfCounters::new();
     for (name, _, set) in &COUNTER_FIELDS {
-        set(&mut counters, value.get(name)?.as_u64()?);
+        set(&mut counters, m.req(name)?);
     }
-    Some(counters)
+    Ok(counters)
 }
 
 /// Serializes a cache snapshot in key order.
@@ -197,16 +206,16 @@ pub fn render(entries: &HashMap<CandidateKey, CachedEval>) -> String {
         .into_iter()
         .map(|(key, eval)| {
             JsonValue::object([
-                ("key".to_owned(), key_to_json(key)),
-                ("counters".to_owned(), counters_to_json(&eval.counters)),
-                ("task_clock_ms".to_owned(), JsonValue::Float(eval.task_clock_ms)),
-                ("verified".to_owned(), eval.verified.into()),
+                ("key", key_to_json(key)),
+                ("counters", counters_to_json(&eval.counters)),
+                ("task_clock_ms", JsonValue::Float(eval.task_clock_ms)),
+                ("verified", eval.verified.into()),
             ])
         })
         .collect();
     let mut text = JsonValue::object([
-        ("schema".to_owned(), CACHE_SCHEMA.into()),
-        ("entries".to_owned(), JsonValue::Array(entries)),
+        ("schema", CACHE_SCHEMA.into()),
+        ("entries", JsonValue::Array(entries)),
     ])
     .to_json_pretty();
     text.push('\n');
@@ -219,23 +228,45 @@ pub fn render(entries: &HashMap<CandidateKey, CachedEval>) -> String {
 pub fn parse(text: &str) -> Result<HashMap<CandidateKey, CachedEval>, Diagnostic> {
     let doc = JsonValue::parse(text)?;
     let mut out = HashMap::new();
-    let schema = doc.get("schema").and_then(JsonValue::as_str);
+    let Ok(m) = Members::of(&doc, "cache document") else { return Ok(out) };
+    let schema = m.opt::<&str>("schema").ok().flatten();
     let migrate_v1 = schema == Some(CACHE_SCHEMA_V1);
     if schema != Some(CACHE_SCHEMA) && !migrate_v1 {
         return Ok(out);
     }
-    for entry in doc.get("entries").and_then(JsonValue::as_array).unwrap_or(&[]) {
-        let Some(key) = entry.get("key").and_then(|k| key_from_json(k, migrate_v1)) else {
-            continue;
-        };
-        let Some(counters) = entry.get("counters").and_then(counters_from_json) else { continue };
-        let Some(task_clock_ms) = entry.get("task_clock_ms").and_then(JsonValue::as_f64) else {
-            continue;
-        };
-        let Some(verified) = entry.get("verified").and_then(JsonValue::as_bool) else { continue };
-        out.insert(key, CachedEval { counters, task_clock_ms, verified, pass_ms: Vec::new() });
+    for entry in m.get("entries").and_then(JsonValue::as_array).unwrap_or(&[]) {
+        // A broken entry is skipped, not fatal.
+        if let Ok((key, eval)) = entry_from_json(entry, migrate_v1) {
+            out.insert(key, eval);
+        }
     }
     Ok(out)
+}
+
+impl CachedEval {
+    /// Decodes the `counters`, `task_clock_ms` and `verified` members, the
+    /// payload a cache entry, a worker `result` and a wire evaluation all
+    /// carry. Pass timings are not part of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] naming the missing or malformed member.
+    pub fn from_members(m: &Members<'_, '_>) -> Result<CachedEval, Diagnostic> {
+        Ok(CachedEval {
+            counters: counters_from_json(m.value("counters")?)?,
+            task_clock_ms: m.req("task_clock_ms")?,
+            verified: m.req("verified")?,
+            pass_ms: Vec::new(),
+        })
+    }
+}
+
+fn entry_from_json(
+    value: &JsonValue,
+    migrate: bool,
+) -> Result<(CandidateKey, CachedEval), Diagnostic> {
+    let m = Members::of(value, "cache entry")?;
+    Ok((key_from_json(m.value("key")?, migrate)?, CachedEval::from_members(&m)?))
 }
 
 /// Loads a cache file. A missing file is an empty cache; so is a

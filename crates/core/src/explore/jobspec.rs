@@ -15,7 +15,7 @@
 
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{member_error, JsonValue, Members};
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};
@@ -156,9 +156,8 @@ impl AnySpace {
     }
 }
 
-fn field_err(field: &str, detail: impl std::fmt::Display) -> Diagnostic {
-    Diagnostic::error(format!("invalid job: {field} {detail}"))
-}
+/// The context `JobSpec` errors blame members in: `invalid job: ...`.
+const JOB: &str = "invalid job";
 
 impl JobSpec {
     /// Validates the spec into a runnable [`ExploreRequest`].
@@ -175,7 +174,7 @@ impl JobSpec {
                 .iter()
                 .map(|label| AccelInstance::parse(label))
                 .collect::<Option<_>>()
-                .ok_or_else(|| field_err("accels", "must be v1..v4_SIZE labels"))?
+                .ok_or_else(|| member_error(JOB, "accels", "must be v1..v4_SIZE labels"))?
         };
         let mut options_axis =
             if self.sweep_options { OptionsPoint::axis() } else { vec![OptionsPoint::default()] };
@@ -191,18 +190,21 @@ impl JobSpec {
                 .collect::<Option<_>>()
                 .ok_or_else(|| {
                     let known: Vec<&str> = CpuModel::all().iter().map(CpuModel::label).collect();
-                    field_err("cpus", format!("must name known hosts ({})", known.join("|")))
+                    let detail = format!("must name known hosts ({})", known.join("|"));
+                    member_error(JOB, "cpus", detail)
                 })?;
             options_axis = OptionsPoint::cross_cpus(&options_axis, &cpus);
         }
 
         let dims = || {
             self.dims
-                .ok_or_else(|| field_err("dims", "are required for matmul/batched workloads"))
+                .ok_or_else(|| {
+                    member_error(JOB, "dims", "are required for matmul/batched workloads")
+                })
                 .and_then(|(m, n, k)| {
                     (m > 0 && n > 0 && k > 0)
                         .then(|| MatMulProblem::new(m, n, k))
-                        .ok_or_else(|| field_err("dims", "must be positive"))
+                        .ok_or_else(|| member_error(JOB, "dims", "must be positive"))
                 })
         };
         let mut space = match self.workload.as_str() {
@@ -216,7 +218,7 @@ impl JobSpec {
             "batched" => {
                 let batch = self.batch.unwrap_or(4);
                 if batch <= 0 {
-                    return Err(field_err("batch", "must be positive"));
+                    return Err(member_error(JOB, "batch", "must be positive"));
                 }
                 let mut s = BatchedSpace::new(BatchedMatMulProblem::new(dims()?, batch as usize))
                     .accels(accels)
@@ -230,17 +232,15 @@ impl JobSpec {
                 let label = self
                     .layer
                     .as_deref()
-                    .ok_or_else(|| field_err("layer", "is required for conv workloads"))?;
+                    .ok_or_else(|| member_error(JOB, "layer", "is required for conv workloads"))?;
                 let layer = parse_layer(label).ok_or_else(|| {
-                    field_err("layer", "must be iHW_iC_fHW_oC_stride or a ResNet18 label")
+                    member_error(JOB, "layer", "must be iHW_iC_fHW_oC_stride or a ResNet18 label")
                 })?;
                 AnySpace::Conv(ConvSpace::new(layer))
             }
             other => {
-                return Err(field_err(
-                    "workload",
-                    format!("`{other}` is not one of matmul|batched|conv"),
-                ))
+                let detail = format!("`{other}` is not one of matmul|batched|conv");
+                return Err(member_error(JOB, "workload", detail));
             }
         };
         if let Some(seed) = self.seed {
@@ -255,14 +255,12 @@ impl JobSpec {
             "exhaustive" => Search::Exhaustive,
             "halving" => Search::Halving(HalvingSpec::default()),
             other => {
-                return Err(field_err(
-                    "search",
-                    format!("`{other}` is not one of exhaustive|halving"),
-                ))
+                let detail = format!("`{other}` is not one of exhaustive|halving");
+                return Err(member_error(JOB, "search", detail));
             }
         };
         let prune = parse_prune(&self.prune)
-            .ok_or_else(|| field_err("prune", "must be none|keep:N|factor:F"))?;
+            .ok_or_else(|| member_error(JOB, "prune", "must be none|keep:N|factor:F"))?;
         let objectives: Vec<Objective> = if self.objectives.is_empty() {
             vec![Objective::TaskClock]
         } else {
@@ -272,12 +270,12 @@ impl JobSpec {
                 .map(|label| Objective::parse(label))
                 .collect::<Option<_>>()
                 .ok_or_else(|| {
-                    field_err("objectives", "must be clock|traffic|transactions|occupancy")
+                    member_error(JOB, "objectives", "must be clock|traffic|transactions|occupancy")
                 })?;
             let mut seen = Vec::new();
             for objective in &parsed {
                 if seen.contains(objective) {
-                    return Err(field_err("objectives", "must not repeat"));
+                    return Err(member_error(JOB, "objectives", "must not repeat"));
                 }
                 seen.push(*objective);
             }
@@ -291,8 +289,8 @@ impl JobSpec {
         // the offending lint code, instead of erroring mid-sweep.
         if let Err(finding) = super::audit::audit_space(request.space.as_dyn()) {
             let code = finding.code.clone().unwrap_or_else(|| "lint".to_owned());
-            let mut diag =
-                field_err("space", format!("admits no candidate — {} [{code}]", finding.message));
+            let detail = format!("admits no candidate — {} [{code}]", finding.message);
+            let mut diag = member_error(JOB, "space", detail);
             diag.code = finding.code;
             return Err(diag);
         }
@@ -302,44 +300,26 @@ impl JobSpec {
     /// Serializes the spec as the JSON object the hub protocol carries
     /// (unset optional fields are omitted).
     pub fn to_json(&self) -> JsonValue {
-        let mut members: Vec<(String, JsonValue)> =
-            vec![("workload".to_owned(), self.workload.clone().into())];
-        if let Some((m, n, k)) = self.dims {
-            members.push(("dims".to_owned(), JsonValue::Array(vec![m.into(), n.into(), k.into()])));
-        }
-        if let Some(batch) = self.batch {
-            members.push(("batch".to_owned(), batch.into()));
-        }
-        if let Some(layer) = &self.layer {
-            members.push(("layer".to_owned(), layer.clone().into()));
-        }
-        if !self.accels.is_empty() {
-            let accels = self.accels.iter().map(|a| JsonValue::from(a.clone())).collect();
-            members.push(("accels".to_owned(), JsonValue::Array(accels)));
-        }
-        if let Some(capacity) = self.capacity_words {
-            members.push(("capacity_words".to_owned(), capacity.into()));
-        }
-        if self.sweep_options {
-            members.push(("sweep_options".to_owned(), true.into()));
-        }
-        if self.sweep_cache_tiling {
-            members.push(("sweep_cache_tiling".to_owned(), true.into()));
-        }
-        if !self.cpus.is_empty() {
-            let cpus = self.cpus.iter().map(|c| JsonValue::from(c.clone())).collect();
-            members.push(("cpus".to_owned(), JsonValue::Array(cpus)));
-        }
-        members.push(("search".to_owned(), self.search.clone().into()));
-        members.push(("prune".to_owned(), self.prune.clone().into()));
-        if !self.objectives.is_empty() {
-            let objectives = self.objectives.iter().map(|o| JsonValue::from(o.clone())).collect();
-            members.push(("objectives".to_owned(), JsonValue::Array(objectives)));
-        }
-        if let Some(seed) = self.seed {
-            members.push(("seed".to_owned(), seed.into()));
-        }
-        JsonValue::object(members)
+        let list = |items: &[String]| (!items.is_empty()).then(|| items.to_vec().into());
+        let members = [
+            ("workload", Some(self.workload.as_str().into())),
+            (
+                "dims",
+                self.dims.map(|(m, n, k)| JsonValue::Array(vec![m.into(), n.into(), k.into()])),
+            ),
+            ("batch", self.batch.map(Into::into)),
+            ("layer", self.layer.as_deref().map(Into::into)),
+            ("accels", list(&self.accels)),
+            ("capacity_words", self.capacity_words.map(Into::into)),
+            ("sweep_options", self.sweep_options.then_some(true.into())),
+            ("sweep_cache_tiling", self.sweep_cache_tiling.then_some(true.into())),
+            ("cpus", list(&self.cpus)),
+            ("search", Some(self.search.as_str().into())),
+            ("prune", Some(self.prune.as_str().into())),
+            ("objectives", list(&self.objectives)),
+            ("seed", self.seed.map(Into::into)),
+        ];
+        JsonValue::object(members.into_iter().filter_map(|(name, value)| Some((name, value?))))
     }
 
     /// Parses a spec from its JSON object form. Structural problems (a
@@ -351,76 +331,22 @@ impl JobSpec {
     ///
     /// Returns a [`Diagnostic`] naming the malformed member.
     pub fn from_json(value: &JsonValue) -> Result<JobSpec, Diagnostic> {
-        if value.as_object().is_none() {
-            return Err(field_err("job", "must be a JSON object"));
-        }
-        let str_member = |name: &str| -> Result<Option<String>, Diagnostic> {
-            match value.get(name) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_str()
-                    .map(|s| Some(s.to_owned()))
-                    .ok_or_else(|| field_err(name, "must be a string")),
-            }
-        };
-        let str_list = |name: &str| -> Result<Vec<String>, Diagnostic> {
-            match value.get(name) {
-                None => Ok(Vec::new()),
-                Some(v) => v
-                    .as_array()
-                    .and_then(|items| items.iter().map(|i| i.as_str().map(str::to_owned)).collect())
-                    .ok_or_else(|| field_err(name, "must be an array of strings")),
-            }
-        };
-        let bool_member = |name: &str| -> Result<bool, Diagnostic> {
-            match value.get(name) {
-                None => Ok(false),
-                Some(v) => v.as_bool().ok_or_else(|| field_err(name, "must be a boolean")),
-            }
-        };
-        let dims = match value.get("dims") {
-            None => None,
-            Some(v) => {
-                let items = v.as_array().unwrap_or(&[]);
-                let edge = |i: usize| items.get(i).and_then(JsonValue::as_i64);
-                match (edge(0), edge(1), edge(2)) {
-                    (Some(m), Some(n), Some(k)) if items.len() == 3 => Some((m, n, k)),
-                    _ => return Err(field_err("dims", "must be a [M, N, K] array of integers")),
-                }
-            }
-        };
-        let batch = match value.get("batch") {
-            None => None,
-            Some(v) => Some(v.as_i64().ok_or_else(|| field_err("batch", "must be an integer"))?),
-        };
-        let capacity_words = match value.get("capacity_words") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| field_err("capacity_words", "must be a non-negative integer"))?,
-            ),
-        };
-        let seed = match value.get("seed") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64().ok_or_else(|| field_err("seed", "must be a non-negative integer"))?,
-            ),
-        };
+        let m = Members::of(value, JOB)?;
         let defaults = JobSpec::default();
         Ok(JobSpec {
-            workload: str_member("workload")?.unwrap_or(defaults.workload),
-            dims,
-            batch,
-            layer: str_member("layer")?,
-            accels: str_list("accels")?,
-            capacity_words,
-            sweep_options: bool_member("sweep_options")?,
-            sweep_cache_tiling: bool_member("sweep_cache_tiling")?,
-            cpus: str_list("cpus")?,
-            search: str_member("search")?.unwrap_or(defaults.search),
-            prune: str_member("prune")?.unwrap_or(defaults.prune),
-            objectives: str_list("objectives")?,
-            seed,
+            workload: m.opt("workload")?.unwrap_or(defaults.workload),
+            dims: m.opt("dims")?,
+            batch: m.opt("batch")?,
+            layer: m.opt("layer")?,
+            accels: m.opt("accels")?.unwrap_or_default(),
+            capacity_words: m.opt("capacity_words")?,
+            sweep_options: m.opt("sweep_options")?.unwrap_or_default(),
+            sweep_cache_tiling: m.opt("sweep_cache_tiling")?.unwrap_or_default(),
+            cpus: m.opt("cpus")?.unwrap_or_default(),
+            search: m.opt("search")?.unwrap_or(defaults.search),
+            prune: m.opt("prune")?.unwrap_or(defaults.prune),
+            objectives: m.opt("objectives")?.unwrap_or_default(),
+            seed: m.opt("seed")?,
         })
     }
 }

@@ -12,22 +12,23 @@
 //! - [`RemotePool`] fans claims out to `axi4mlir-worker` daemons over
 //!   the [`axi4mlir_support::proto`] NDJSON framing, with a per-worker
 //!   in-flight window. A worker that dies mid-rung has its outstanding
-//!   claims requeued and its connection retried; the sweep fails only if
-//!   *every* worker is gone with work remaining, so a lost worker
-//!   degrades throughput instead of failing the sweep.
+//!   claims requeued and its connection retried; a worker whose replies
+//!   do not decode is dropped and retried the same way. The sweep fails
+//!   only when no worker is left serving it, so a lost worker degrades
+//!   throughput instead of failing the sweep.
 //!
 //! Both backends publish through the same [`MeasureQueue`], so a report
 //! produced through a remote pool is bit-identical (excluding wall-clock
 //! timing fields) to the local pool's at any worker count.
 //!
 //! The second half of this module is the `axi4mlir-worker/v1` wire
-//! vocabulary — the `measure`/`result`/`failed` frames both the remote
-//! pool and the worker daemon speak — plus [`handle_measure`], the
-//! worker-side entry point that rebuilds the space from the request's
-//! [`JobSpec`] and runs the candidate. A space can travel because
-//! realization depends only on the problem shape and data seed
-//! ([`DesignSpace::wire_spec`]); the accelerator, flow, tile, and
-//! options all ride inside the candidate's key.
+//! vocabulary: [`WorkerRequest`] and [`WorkerReply`], each with the one
+//! encoder and decoder both the remote pool and the worker daemon use,
+//! plus [`Measurement::run`], the worker-side execution that rebuilds
+//! the space from the request's [`JobSpec`] and runs the candidate. A
+//! space can travel because realization depends only on the problem
+//! shape and data seed ([`DesignSpace::wire_spec`]); the accelerator,
+//! flow, tile, and options all ride inside the candidate's key.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::BufReader;
@@ -37,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, write_frame_at, Frame, FrameReader};
+use axi4mlir_support::json::{JsonValue, Members};
+use axi4mlir_support::proto::{tagged, write_frame, write_frame_at, Frame, FrameReader};
 
 use crate::driver::Session;
 
@@ -479,23 +480,17 @@ fn connect(addr: &str) -> Result<Conn, Diagnostic> {
         .map_err(|err| io_err(addr, format!("cannot set read timeout: {err}")))?;
     let writer = stream.try_clone().map_err(|err| io_err(addr, err))?;
     let mut conn = Conn { reader: FrameReader::new(BufReader::new(stream)), writer };
-    write_frame(&mut conn.writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
+    write_frame(&mut conn.writer, &WorkerRequest::Hello.to_json())
         .map_err(|err| io_err(addr, format!("hello failed: {err}")))?;
     let deadline = Instant::now() + HELLO_DEADLINE;
     loop {
         match conn.reader.next_frame() {
             Ok(Frame::Value(frame)) => {
-                let schema = frame.get("schema").and_then(JsonValue::as_str);
-                if schema != Some(WORKER_SCHEMA) {
-                    return Err(io_err(
-                        addr,
-                        format!(
-                            "speaks {} (expected {WORKER_SCHEMA})",
-                            schema.unwrap_or("no schema")
-                        ),
-                    ));
-                }
-                return Ok(conn);
+                return match WorkerReply::from_json(&frame) {
+                    Ok(WorkerReply::Hello { .. }) => Ok(conn),
+                    Ok(_) => Err(io_err(addr, "answered hello with another frame")),
+                    Err(err) => Err(io_err(addr, err.message)),
+                };
             }
             Ok(Frame::Idle) if Instant::now() < deadline => continue,
             Ok(Frame::Idle) | Ok(Frame::Eof) => {
@@ -506,54 +501,25 @@ fn connect(addr: &str) -> Result<Conn, Diagnostic> {
     }
 }
 
-/// One worker's reply to a `measure` frame.
-enum WorkerReply {
-    Result { id: u64, eval: CachedEval, nanos: u64 },
-    Failed { id: u64, reason: String },
-    Other,
-}
-
-fn parse_reply(frame: &JsonValue) -> Option<WorkerReply> {
-    match frame.get("type").and_then(JsonValue::as_str)? {
-        "result" => Some(WorkerReply::Result {
-            id: frame.get("id").and_then(JsonValue::as_u64)?,
-            eval: CachedEval {
-                counters: frame.get("counters").and_then(cache::counters_from_json)?,
-                task_clock_ms: frame.get("task_clock_ms").and_then(JsonValue::as_f64)?,
-                verified: frame.get("verified").and_then(JsonValue::as_bool)?,
-                pass_ms: Vec::new(),
-            },
-            nanos: frame.get("nanos").and_then(JsonValue::as_u64)?,
-        }),
-        "failed" => Some(WorkerReply::Failed {
-            id: frame.get("id").and_then(JsonValue::as_u64)?,
-            reason: frame
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("worker reported failure")
-                .to_owned(),
-        }),
-        _ => Some(WorkerReply::Other),
-    }
-}
-
 /// Why [`serve_worker`] returned.
 enum Served {
     /// The queue drained while this connection was healthy.
     Drained,
-    /// The connection died (EOF, I/O error, or a malformed frame);
+    /// The connection died (EOF or an I/O or framing error);
     /// outstanding claims were requeued by drop.
     Lost,
+    /// The worker sent a frame that does not decode: dropped like a lost
+    /// connection, but counted as a failed connect.
+    Malformed(Diagnostic),
 }
 
 /// Drives one worker address for the life of the rung. A lost connection
-/// requeues its outstanding claims (by drop) and is retried with
-/// exponential backoff; a successful reconnect after a loss re-registers
-/// the worker via [`MeasureQueue::record_reconnect`]. The pump abandons
-/// the address only once [`RECONNECT_ATTEMPTS`] consecutive connects
-/// failed *and* no other pump in the pool is connected — while any peer
-/// is serving the queue, a dead worker's address keeps being retried so
-/// it can rejoin whenever it comes back.
+/// requeues its outstanding claims (by drop) and reconnects at once; a
+/// reconnect after a loss re-registers the worker via
+/// [`MeasureQueue::record_reconnect`]. Failed connects and undecodable
+/// replies back off exponentially, and the pump abandons the address
+/// only after [`RECONNECT_ATTEMPTS`] of them in a row *while* no other
+/// pump is connected — a dead worker can rejoin whenever it comes back.
 fn pump(
     addr: &str,
     job: &JsonValue,
@@ -566,36 +532,39 @@ fn pump(
         if queue.is_drained() {
             return Ok(());
         }
-        let mut conn = match connect(addr) {
-            Ok(conn) => conn,
-            Err(err) => {
-                failures += 1;
-                if failures >= RECONNECT_ATTEMPTS && state.connected.load(Ordering::Acquire) == 0 {
-                    return Err(err);
+        let err = match connect(addr) {
+            Err(err) => err,
+            Ok(mut conn) => {
+                // The loss flag lives on the pool, not this pump: a
+                // worker that died in an earlier rung and reconnects
+                // here is still a re-registration.
+                if state.lost.lock().expect("pool state poisoned").remove(addr) {
+                    queue.record_reconnect(addr);
                 }
-                let backoff = RECONNECT_BACKOFF
-                    .saturating_mul(1 << (failures - 1).min(4) as u32)
-                    .min(RECONNECT_BACKOFF_CAP);
-                std::thread::sleep(backoff);
-                continue;
+                state.connected.fetch_add(1, Ordering::AcqRel);
+                let served = serve_worker(addr, &mut conn, job, window, queue);
+                state.connected.fetch_sub(1, Ordering::AcqRel);
+                if matches!(served, Served::Drained) {
+                    return Ok(());
+                }
+                state.lost.lock().expect("pool state poisoned").insert(addr.to_owned());
+                match served {
+                    Served::Malformed(err) => err,
+                    _ => {
+                        failures = 0;
+                        continue;
+                    }
+                }
             }
         };
-        failures = 0;
-        // The loss flag lives on the pool, not this pump: a worker
-        // that died in an earlier rung and reconnects here is still a
-        // re-registration.
-        if state.lost.lock().expect("pool state poisoned").remove(addr) {
-            queue.record_reconnect(addr);
+        failures += 1;
+        if failures >= RECONNECT_ATTEMPTS && state.connected.load(Ordering::Acquire) == 0 {
+            return Err(err);
         }
-        state.connected.fetch_add(1, Ordering::AcqRel);
-        let served = serve_worker(addr, &mut conn, job, window, queue);
-        state.connected.fetch_sub(1, Ordering::AcqRel);
-        match served {
-            Served::Drained => return Ok(()),
-            Served::Lost => {
-                state.lost.lock().expect("pool state poisoned").insert(addr.to_owned());
-            }
-        }
+        let backoff = RECONNECT_BACKOFF
+            .saturating_mul(1 << (failures - 1).min(4) as u32)
+            .min(RECONNECT_BACKOFF_CAP);
+        std::thread::sleep(backoff);
     }
 }
 
@@ -647,19 +616,19 @@ fn serve_worker(
         }
         match conn.reader.next_frame() {
             Ok(Frame::Idle) => continue,
-            Ok(Frame::Value(frame)) => match parse_reply(&frame) {
-                Some(WorkerReply::Result { id, eval, nanos }) => {
+            Ok(Frame::Value(frame)) => match WorkerReply::from_json(&frame) {
+                Ok(WorkerReply::Result { id, eval, nanos }) => {
                     if let Some(task) = outstanding.remove(&id) {
                         queue.complete(task, Ok(eval), nanos, addr);
                     }
                 }
-                Some(WorkerReply::Failed { id, reason }) => {
+                Ok(WorkerReply::Failed { id, reason }) => {
                     if let Some(task) = outstanding.remove(&id) {
                         queue.complete(task, Err(Diagnostic::error(reason)), 0, addr);
                     }
                 }
-                Some(WorkerReply::Other) => {}
-                None => return Served::Lost, // malformed: reset the connection
+                Ok(_) => {} // not an answer to a measure
+                Err(err) => return Served::Malformed(io_err(addr, err.message)),
             },
             Ok(Frame::Eof) | Err(_) => return Served::Lost,
         }
@@ -673,73 +642,203 @@ fn serve_worker(
 /// The worker protocol schema tag, exchanged in `hello`.
 pub const WORKER_SCHEMA: &str = "axi4mlir-worker/v1";
 
-/// Builds a `measure` request: measure `candidate` at `fidelity` in the
-/// space rebuilt from `job` (a [`JobSpec`] in JSON form).
+/// A frame a scheduler sends a worker.
+#[derive(Clone, Debug, PartialEq)]
+pub enum WorkerRequest {
+    /// Identify the worker: its schema and slot count.
+    Hello,
+    /// Simulate one candidate.
+    Measure(Box<Measurement>),
+    /// Barrier: answer every accepted `measure` before `drained`.
+    Drain,
+}
+
+/// One `measure` request: simulate `candidate` at `fidelity` in the
+/// space rebuilt from `job`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Measurement {
+    /// Request id, echoed by the reply.
+    pub id: u64,
+    /// The sweep the candidate belongs to.
+    pub job: JobSpec,
+    /// How faithfully to measure.
+    pub fidelity: Fidelity,
+    /// The candidate to simulate.
+    pub candidate: Candidate,
+}
+
+/// Encodes a `measure` request, with the job already in its JSON form:
+/// a pool encodes its job once per rung, not once per candidate.
 pub fn measure_request(
     id: u64,
     job: &JsonValue,
     fidelity: Fidelity,
     candidate: &Candidate,
 ) -> JsonValue {
-    JsonValue::object([
-        ("type".to_owned(), "measure".into()),
-        ("id".to_owned(), id.into()),
-        ("job".to_owned(), job.clone()),
-        ("fidelity".to_owned(), fidelity.label().into()),
-        ("candidate".to_owned(), wire::candidate_to_json(candidate)),
-    ])
+    tagged(
+        "measure",
+        [
+            ("id", id.into()),
+            ("job", job.clone()),
+            ("fidelity", fidelity.label().into()),
+            ("candidate", wire::candidate_to_json(candidate)),
+        ],
+    )
 }
 
-/// Builds the `result` frame answering measure request `id`.
-pub fn result_frame(id: u64, eval: &CachedEval, nanos: u64) -> JsonValue {
-    JsonValue::object([
-        ("type".to_owned(), "result".into()),
-        ("id".to_owned(), id.into()),
-        ("counters".to_owned(), cache::counters_to_json(&eval.counters)),
-        ("task_clock_ms".to_owned(), JsonValue::Float(eval.task_clock_ms)),
-        ("verified".to_owned(), eval.verified.into()),
-        ("nanos".to_owned(), nanos.into()),
-    ])
-}
+impl WorkerRequest {
+    /// Encodes the request frame.
+    pub fn to_json(&self) -> JsonValue {
+        match self {
+            WorkerRequest::Hello => tagged("hello", []),
+            WorkerRequest::Measure(m) => {
+                measure_request(m.id, &m.job.to_json(), m.fidelity, &m.candidate)
+            }
+            WorkerRequest::Drain => tagged("drain", []),
+        }
+    }
 
-/// Builds the `failed` frame answering measure request `id`.
-pub fn failed_frame(id: u64, reason: &str) -> JsonValue {
-    JsonValue::object([
-        ("type".to_owned(), "failed".into()),
-        ("id".to_owned(), id.into()),
-        ("reason".to_owned(), reason.into()),
-    ])
-}
-
-/// The worker-side execution of one `measure` frame: rebuild the space
-/// from the embedded job spec, realize the candidate at the requested
-/// fidelity, run it on `session`, and answer with a `result` or `failed`
-/// frame (the request `id` echoed either way). Transport never sees
-/// Rust errors: every failure becomes a `failed` frame.
-pub fn handle_measure(session: &mut Session, frame: &JsonValue) -> JsonValue {
-    let id = frame.get("id").and_then(JsonValue::as_u64).unwrap_or(0);
-    match run_measure(session, frame) {
-        Ok((eval, nanos)) => result_frame(id, &eval, nanos),
-        Err(diag) => failed_frame(id, &diag.message),
+    /// Decodes a request frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reply the worker answers with instead: `failed` for a
+    /// `measure` frame whose members do not decode (under its `id`, when
+    /// it has one), `error` for a frame that is no request at all.
+    #[allow(clippy::result_large_err)] // the reply is sent at once, never propagated
+    pub fn from_json(value: &JsonValue) -> Result<WorkerRequest, WorkerReply> {
+        let tag = Members::of(value, "request").and_then(|m| m.req::<&str>("type"));
+        match tag.map_err(|err| WorkerReply::Error { reason: err.message })? {
+            "hello" => Ok(WorkerRequest::Hello),
+            "drain" => Ok(WorkerRequest::Drain),
+            "measure" => {
+                let m = Members::of(value, "measure").expect("a typed frame is an object");
+                let measurement = || -> Result<Box<Measurement>, Diagnostic> {
+                    let id = m.req("id")?;
+                    let job = JobSpec::from_json(m.value("job")?)?;
+                    let label = m.req("fidelity")?;
+                    let fidelity = Fidelity::parse(label).ok_or_else(|| {
+                        m.invalid("fidelity", format!("`{label}` is not full|proxy:N"))
+                    })?;
+                    let candidate = wire::candidate_from_json(m.value("candidate")?)?;
+                    Ok(Box::new(Measurement { id, job, fidelity, candidate }))
+                };
+                measurement().map(WorkerRequest::Measure).map_err(|err| WorkerReply::Failed {
+                    id: m.opt("id").ok().flatten().unwrap_or(0),
+                    reason: err.message,
+                })
+            }
+            other => Err(WorkerReply::Error { reason: format!("unknown request `{other}`") }),
+        }
     }
 }
 
-fn run_measure(session: &mut Session, frame: &JsonValue) -> Result<(CachedEval, u64), Diagnostic> {
-    let job = frame.get("job").ok_or_else(|| Diagnostic::error("measure requires a `job`"))?;
-    let request = JobSpec::from_json(job)?.build()?;
-    let fidelity = frame
-        .get("fidelity")
-        .and_then(JsonValue::as_str)
-        .and_then(Fidelity::parse)
-        .ok_or_else(|| Diagnostic::error("measure requires a `fidelity` label"))?;
-    let candidate = wire::candidate_from_json(
-        frame
-            .get("candidate")
-            .ok_or_else(|| Diagnostic::error("measure requires a `candidate`"))?,
-    )?;
-    let started = Instant::now();
-    let eval = run_candidate(session, request.space.as_dyn(), &candidate, fidelity)?;
-    Ok((eval, started.elapsed().as_nanos() as u64))
+impl Measurement {
+    /// The worker-side execution: rebuild the space from the job, realize
+    /// the candidate at the requested fidelity, and run it on `session`.
+    /// Every failure becomes a `failed` reply; transport never sees Rust
+    /// errors.
+    pub fn run(&self, session: &mut Session) -> WorkerReply {
+        let measured = self.job.build().and_then(|request| {
+            let started = Instant::now();
+            let eval =
+                run_candidate(session, request.space.as_dyn(), &self.candidate, self.fidelity)?;
+            Ok((eval, started.elapsed().as_nanos() as u64))
+        });
+        match measured {
+            Ok((eval, nanos)) => WorkerReply::Result { id: self.id, eval, nanos },
+            Err(diag) => WorkerReply::Failed { id: self.id, reason: diag.message },
+        }
+    }
+}
+
+/// A frame a worker sends its scheduler.
+#[derive(Clone, Debug, PartialEq)]
+pub enum WorkerReply {
+    /// The answer to `hello`, under [`WORKER_SCHEMA`].
+    Hello {
+        /// Concurrent measurement slots.
+        slots: usize,
+    },
+    /// The measurement of request `id`. Pass timings stay off the wire.
+    Result {
+        /// The request id.
+        id: u64,
+        /// Counters, task-clock and verification flag.
+        eval: CachedEval,
+        /// Simulator wall-clock nanoseconds.
+        nanos: u64,
+    },
+    /// Request `id` could not be measured.
+    Failed {
+        /// The request id.
+        id: u64,
+        /// Why.
+        reason: String,
+    },
+    /// Every `measure` accepted before a `drain` has been answered.
+    Drained,
+    /// A frame that is no request.
+    Error {
+        /// Why.
+        reason: String,
+    },
+}
+
+impl WorkerReply {
+    /// Encodes the reply frame.
+    pub fn to_json(&self) -> JsonValue {
+        match self {
+            WorkerReply::Hello { slots } => {
+                tagged("hello", [("schema", WORKER_SCHEMA.into()), ("slots", (*slots).into())])
+            }
+            WorkerReply::Result { id, eval, nanos } => tagged(
+                "result",
+                [
+                    ("id", (*id).into()),
+                    ("counters", cache::counters_to_json(&eval.counters)),
+                    ("task_clock_ms", eval.task_clock_ms.into()),
+                    ("verified", eval.verified.into()),
+                    ("nanos", (*nanos).into()),
+                ],
+            ),
+            WorkerReply::Failed { id, reason } => {
+                tagged("failed", [("id", (*id).into()), ("reason", reason.as_str().into())])
+            }
+            WorkerReply::Drained => tagged("drained", []),
+            WorkerReply::Error { reason } => tagged("error", [("reason", reason.as_str().into())]),
+        }
+    }
+
+    /// Decodes a reply frame. A `hello` under another schema than
+    /// [`WORKER_SCHEMA`] does not decode.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] naming the missing or malformed member,
+    /// or the unknown `type`.
+    pub fn from_json(value: &JsonValue) -> Result<WorkerReply, Diagnostic> {
+        let tag: &str = Members::of(value, "worker reply")?.req("type")?;
+        let m = Members::of(value, tag)?;
+        match tag {
+            "hello" => {
+                let schema: &str = m.req("schema")?;
+                if schema != WORKER_SCHEMA {
+                    return Err(m.invalid("schema", format!("`{schema}` is not {WORKER_SCHEMA}")));
+                }
+                Ok(WorkerReply::Hello { slots: m.req("slots")? })
+            }
+            "result" => Ok(WorkerReply::Result {
+                id: m.req("id")?,
+                eval: CachedEval::from_members(&m)?,
+                nanos: m.req("nanos")?,
+            }),
+            "failed" => Ok(WorkerReply::Failed { id: m.req("id")?, reason: m.req("reason")? }),
+            "drained" => Ok(WorkerReply::Drained),
+            "error" => Ok(WorkerReply::Error { reason: m.req("reason")? }),
+            other => Err(Diagnostic::error(format!("unknown worker reply `{other}`"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -753,12 +852,14 @@ mod tests {
         let candidate = space.enumerate().unwrap().into_iter().next().unwrap();
         let job = space.wire_spec().unwrap().to_json();
         let request = measure_request(42, &job, Fidelity::Full, &candidate);
+        let Ok(WorkerRequest::Measure(measurement)) = WorkerRequest::from_json(&request) else {
+            panic!("expected a measure request")
+        };
         let mut session = Session::for_sweep();
-        let reply = handle_measure(&mut session, &request);
-        assert_eq!(reply.get("type").and_then(JsonValue::as_str), Some("result"));
-        assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(42));
-        let parsed = parse_reply(&reply).unwrap();
-        let WorkerReply::Result { id, eval, nanos } = parsed else { panic!("expected result") };
+        let reply = measurement.run(&mut session).to_json();
+        let Ok(WorkerReply::Result { id, eval, nanos }) = WorkerReply::from_json(&reply) else {
+            panic!("expected a result")
+        };
         assert_eq!(id, 42);
         assert!(eval.verified);
         assert!(nanos > 0);
@@ -771,14 +872,11 @@ mod tests {
 
     #[test]
     fn malformed_measure_frames_fail_with_the_id_echoed() {
-        let mut session = Session::for_sweep();
-        let bad = JsonValue::object([
-            ("type".to_owned(), "measure".into()),
-            ("id".to_owned(), 9u64.into()),
-        ]);
-        let reply = handle_measure(&mut session, &bad);
-        assert_eq!(reply.get("type").and_then(JsonValue::as_str), Some("failed"));
-        assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(9));
-        assert!(reply.get("reason").and_then(JsonValue::as_str).unwrap().contains("job"));
+        let bad = tagged("measure", [("id", 9u64.into())]);
+        let Err(WorkerReply::Failed { id, reason }) = WorkerRequest::from_json(&bad) else {
+            panic!("expected a failed reply")
+        };
+        assert_eq!(id, 9);
+        assert!(reason.contains("job"));
     }
 }

@@ -7,15 +7,16 @@
 //! non-hub path uses — which is what makes the two paths byte-identical
 //! by construction. Candidate keys and counters reuse the persistent
 //! cache's spellings ([`cache::key_to_json`] and friends), so the wire
-//! and the cache never drift apart.
+//! and the cache never drift apart. Decoding goes through
+//! [`Members`], so every error names the member at fault.
 //!
 //! [`cache::key_to_json`]: super::cache::key_to_json
 
 use axi4mlir_heuristics::TransferEstimate;
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
-use super::cache::{counters_from_json, counters_to_json, key_from_json, key_to_json};
+use super::cache::{counters_to_json, key_from_json, key_to_json, CachedEval};
 use super::space::Candidate;
 use super::{Evaluation, ExploreReport, Objective};
 
@@ -24,165 +25,93 @@ use super::{Evaluation, ExploreReport, Objective};
 /// protocol (see [`super::measure`]).
 pub fn candidate_to_json(candidate: &Candidate) -> JsonValue {
     JsonValue::object([
-        ("key".to_owned(), key_to_json(&candidate.key)),
+        ("key", key_to_json(&candidate.key)),
         (
-            "estimate".to_owned(),
+            "estimate",
             JsonValue::object([
-                ("words_to_accel".to_owned(), candidate.estimate.words_to_accel.into()),
-                ("words_from_accel".to_owned(), candidate.estimate.words_from_accel.into()),
-                ("transactions".to_owned(), candidate.estimate.transactions.into()),
+                ("words_to_accel", candidate.estimate.words_to_accel.into()),
+                ("words_from_accel", candidate.estimate.words_from_accel.into()),
+                ("transactions", candidate.estimate.transactions.into()),
             ]),
         ),
     ])
-}
-
-fn wire_err(what: impl std::fmt::Display) -> Diagnostic {
-    Diagnostic::error(format!("malformed wire report: {what}"))
 }
 
 /// Parses a candidate serialized by [`candidate_to_json`].
 ///
 /// # Errors
 ///
-/// Returns a [`Diagnostic`] for missing or malformed members.
+/// Returns a [`Diagnostic`] naming the missing or malformed member.
 pub fn candidate_from_json(value: &JsonValue) -> Result<Candidate, Diagnostic> {
-    let key = value
-        .get("key")
-        .and_then(|k| key_from_json(k, false))
-        .ok_or_else(|| wire_err("bad candidate key"))?;
-    let estimate = value.get("estimate").ok_or_else(|| wire_err("missing estimate"))?;
-    let field = |name: &str| {
-        estimate
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| wire_err(format!("estimate.{name} must be a non-negative integer")))
-    };
+    let m = Members::of(value, "candidate")?;
+    let estimate = m.object("estimate")?;
     Ok(Candidate {
-        key,
+        key: key_from_json(m.value("key")?, false)?,
         estimate: TransferEstimate {
-            words_to_accel: field("words_to_accel")?,
-            words_from_accel: field("words_from_accel")?,
-            transactions: field("transactions")?,
+            words_to_accel: estimate.req("words_to_accel")?,
+            words_from_accel: estimate.req("words_from_accel")?,
+            transactions: estimate.req("transactions")?,
         },
     })
 }
 
 fn evaluation_to_json(eval: &Evaluation) -> JsonValue {
-    let pass_ms = eval
-        .pass_ms
-        .iter()
-        .map(|(pass, ms)| JsonValue::Array(vec![pass.clone().into(), (*ms).into()]))
-        .collect();
     JsonValue::object([
-        ("candidate".to_owned(), candidate_to_json(&eval.candidate)),
-        ("counters".to_owned(), counters_to_json(&eval.counters)),
-        ("task_clock_ms".to_owned(), eval.task_clock_ms.into()),
-        ("verified".to_owned(), eval.verified.into()),
-        ("work".to_owned(), eval.work.into()),
-        ("pass_ms".to_owned(), JsonValue::Array(pass_ms)),
-        ("from_cache".to_owned(), eval.from_cache.into()),
+        ("candidate", candidate_to_json(&eval.candidate)),
+        ("counters", counters_to_json(&eval.counters)),
+        ("task_clock_ms", eval.task_clock_ms.into()),
+        ("verified", eval.verified.into()),
+        ("work", eval.work.into()),
+        ("pass_ms", eval.pass_ms.clone().into()),
+        ("from_cache", eval.from_cache.into()),
     ])
 }
 
 fn evaluation_from_json(value: &JsonValue) -> Result<Evaluation, Diagnostic> {
-    let candidate =
-        candidate_from_json(value.get("candidate").ok_or_else(|| wire_err("missing candidate"))?)?;
-    let counters = value
-        .get("counters")
-        .and_then(counters_from_json)
-        .ok_or_else(|| wire_err("bad counters"))?;
-    let mut pass_ms = Vec::new();
-    for pair in value.get("pass_ms").and_then(JsonValue::as_array).unwrap_or(&[]) {
-        let items = pair.as_array().unwrap_or(&[]);
-        let pass = items.first().and_then(JsonValue::as_str);
-        let ms = items.get(1).and_then(JsonValue::as_f64);
-        match (pass, ms) {
-            (Some(pass), Some(ms)) if items.len() == 2 => pass_ms.push((pass.to_owned(), ms)),
-            _ => return Err(wire_err("pass_ms must hold [name, millis] pairs")),
-        }
-    }
+    let m = Members::of(value, "evaluation")?;
+    let candidate = candidate_from_json(m.value("candidate")?)?;
+    let CachedEval { counters, task_clock_ms, verified, .. } = CachedEval::from_members(&m)?;
     Ok(Evaluation {
         candidate,
         counters,
-        task_clock_ms: value
-            .get("task_clock_ms")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| wire_err("missing task_clock_ms"))?,
-        verified: value
-            .get("verified")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| wire_err("missing verified"))?,
-        work: value
-            .get("work")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| wire_err("missing work"))?,
-        pass_ms,
-        from_cache: value
-            .get("from_cache")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| wire_err("missing from_cache"))?,
+        task_clock_ms,
+        verified,
+        work: m.req("work")?,
+        pass_ms: m.opt("pass_ms")?.unwrap_or_default(),
+        from_cache: m.req("from_cache")?,
     })
 }
 
 /// Serializes a report as the JSON object a hub `done` event carries.
 pub fn report_to_json(report: &ExploreReport) -> JsonValue {
-    let mut members: Vec<(String, JsonValue)> = vec![
-        ("space".to_owned(), report.space.clone().into()),
-        ("workload".to_owned(), report.workload.clone().into()),
-        ("search".to_owned(), report.search.clone().into()),
-        ("space_size".to_owned(), report.space_size.into()),
-        ("pruned_out".to_owned(), report.pruned_out.into()),
-        ("lint_rejected".to_owned(), report.lint_rejected.into()),
-        ("cache_hits".to_owned(), report.cache_hits.into()),
-        ("sims_performed".to_owned(), report.sims_performed.into()),
-        ("full_sims_performed".to_owned(), report.full_sims_performed.into()),
-        ("full_sim_nanos".to_owned(), report.full_sim_nanos.into()),
-        ("warm_started".to_owned(), report.warm_started.into()),
-        ("warm_informed".to_owned(), report.warm_informed.into()),
-        ("measure_backend".to_owned(), report.measure_backend.clone().into()),
-        (
-            "worker_sims".to_owned(),
-            JsonValue::Array(
-                report
-                    .worker_sims
-                    .iter()
-                    .map(|(worker, sims)| {
-                        JsonValue::Array(vec![worker.clone().into(), (*sims).into()])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "objectives".to_owned(),
-            JsonValue::Array(
-                report.objectives.iter().map(|o| JsonValue::from(o.label())).collect(),
-            ),
-        ),
-        (
-            "evaluations".to_owned(),
-            JsonValue::Array(report.evaluations.iter().map(evaluation_to_json).collect()),
-        ),
+    let objectives: Vec<&str> = report.objectives.iter().map(Objective::label).collect();
+    let evaluations: Vec<JsonValue> = report.evaluations.iter().map(evaluation_to_json).collect();
+    let mut members = vec![
+        ("space", report.space.as_str().into()),
+        ("workload", report.workload.as_str().into()),
+        ("search", report.search.as_str().into()),
+        ("space_size", report.space_size.into()),
+        ("pruned_out", report.pruned_out.into()),
+        ("lint_rejected", report.lint_rejected.into()),
+        ("cache_hits", report.cache_hits.into()),
+        ("sims_performed", report.sims_performed.into()),
+        ("full_sims_performed", report.full_sims_performed.into()),
+        ("full_sim_nanos", report.full_sim_nanos.into()),
+        ("warm_started", report.warm_started.into()),
+        ("warm_informed", report.warm_informed.into()),
+        ("measure_backend", report.measure_backend.as_str().into()),
+        ("worker_sims", report.worker_sims.clone().into()),
+        ("objectives", objectives.into()),
+        ("evaluations", evaluations.into()),
     ];
     // Omitted when empty (local sweeps, fault-free remote sweeps) so
     // fault-free documents are byte-identical to pre-reconnect ones.
     if !report.worker_reconnects.is_empty() {
-        members.push((
-            "worker_reconnects".to_owned(),
-            JsonValue::Array(
-                report
-                    .worker_reconnects
-                    .iter()
-                    .map(|(worker, n)| JsonValue::Array(vec![worker.clone().into(), (*n).into()]))
-                    .collect(),
-            ),
-        ));
+        members.push(("worker_reconnects", report.worker_reconnects.clone().into()));
     }
-    if let Some(heuristic) = &report.heuristic {
-        members.push(("heuristic".to_owned(), candidate_to_json(heuristic)));
-    }
-    if let Some(eval) = &report.heuristic_eval {
-        members.push(("heuristic_eval".to_owned(), evaluation_to_json(eval)));
-    }
+    members.extend(report.heuristic.as_ref().map(|c| ("heuristic", candidate_to_json(c))));
+    members
+        .extend(report.heuristic_eval.as_ref().map(|e| ("heuristic_eval", evaluation_to_json(e))));
     JsonValue::object(members)
 }
 
@@ -192,109 +121,40 @@ pub fn report_to_json(report: &ExploreReport) -> JsonValue {
 ///
 /// Returns a [`Diagnostic`] naming the first malformed member.
 pub fn report_from_json(value: &JsonValue) -> Result<ExploreReport, Diagnostic> {
-    let text = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| wire_err(format!("missing {name}")))
-    };
-    let count = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| wire_err(format!("missing {name}")))
-    };
-    let flag = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| wire_err(format!("missing {name}")))
-    };
-    let objectives = value
-        .get("objectives")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| wire_err("missing objectives"))?
-        .iter()
-        .map(|o| o.as_str().and_then(Objective::parse))
-        .collect::<Option<Vec<Objective>>>()
-        .ok_or_else(|| wire_err("unknown objective label"))?;
-    let evaluations = value
-        .get("evaluations")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| wire_err("missing evaluations"))?
-        .iter()
-        .map(evaluation_from_json)
-        .collect::<Result<Vec<Evaluation>, Diagnostic>>()?;
+    let m = Members::of(value, "wire report")?;
+    let objectives = m
+        .req::<Vec<&str>>("objectives")?
+        .into_iter()
+        .map(|label| {
+            Objective::parse(label)
+                .ok_or_else(|| m.invalid("objectives", format!("holds an unknown label `{label}`")))
+        })
+        .collect::<Result<_, _>>()?;
+    let evaluations = m.req::<Vec<_>>("evaluations")?;
+    let evaluations =
+        evaluations.into_iter().map(evaluation_from_json).collect::<Result<_, _>>()?;
     Ok(ExploreReport {
-        space: text("space")?,
-        workload: text("workload")?,
-        search: text("search")?,
-        space_size: count("space_size")?,
-        pruned_out: count("pruned_out")?,
+        space: m.req("space")?,
+        workload: m.req("workload")?,
+        search: m.req("search")?,
+        space_size: m.req("space_size")?,
+        pruned_out: m.req("pruned_out")?,
         // Absent in pre-audit wire reports; those rejected nothing.
-        lint_rejected: value
-            .get("lint_rejected")
-            .and_then(JsonValue::as_u64)
-            .map(|n| n as usize)
-            .unwrap_or(0),
-        cache_hits: count("cache_hits")?,
-        sims_performed: count("sims_performed")?,
-        full_sims_performed: count("full_sims_performed")?,
-        full_sim_nanos: value
-            .get("full_sim_nanos")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| wire_err("missing full_sim_nanos"))?,
-        warm_started: flag("warm_started")?,
-        warm_informed: count("warm_informed")?,
-        measure_backend: text("measure_backend")?,
-        worker_sims: {
-            let mut worker_sims = Vec::new();
-            for pair in value
-                .get("worker_sims")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| wire_err("missing worker_sims"))?
-            {
-                let items = pair.as_array().unwrap_or(&[]);
-                let worker = items.first().and_then(JsonValue::as_str);
-                let sims = items.get(1).and_then(JsonValue::as_u64);
-                match (worker, sims) {
-                    (Some(worker), Some(sims)) if items.len() == 2 => {
-                        worker_sims.push((worker.to_owned(), sims as usize));
-                    }
-                    _ => return Err(wire_err("worker_sims must hold [worker, sims] pairs")),
-                }
-            }
-            worker_sims
-        },
+        lint_rejected: m.opt("lint_rejected")?.unwrap_or(0),
+        cache_hits: m.req("cache_hits")?,
+        sims_performed: m.req("sims_performed")?,
+        full_sims_performed: m.req("full_sims_performed")?,
+        full_sim_nanos: m.req("full_sim_nanos")?,
+        warm_started: m.req("warm_started")?,
+        warm_informed: m.req("warm_informed")?,
+        measure_backend: m.req("measure_backend")?,
+        worker_sims: m.req("worker_sims")?,
         // Absent for fault-free sweeps and pre-reconnect wire reports.
-        worker_reconnects: {
-            let mut reconnects = Vec::new();
-            for pair in value.get("worker_reconnects").and_then(JsonValue::as_array).unwrap_or(&[])
-            {
-                let items = pair.as_array().unwrap_or(&[]);
-                let worker = items.first().and_then(JsonValue::as_str);
-                let n = items.get(1).and_then(JsonValue::as_u64);
-                match (worker, n) {
-                    (Some(worker), Some(n)) if items.len() == 2 => {
-                        reconnects.push((worker.to_owned(), n as usize));
-                    }
-                    _ => return Err(wire_err("worker_reconnects must hold [worker, count] pairs")),
-                }
-            }
-            reconnects
-        },
+        worker_reconnects: m.opt("worker_reconnects")?.unwrap_or_default(),
         evaluations,
         objectives,
-        heuristic: match value.get("heuristic") {
-            None => None,
-            Some(c) => Some(candidate_from_json(c)?),
-        },
-        heuristic_eval: match value.get("heuristic_eval") {
-            None => None,
-            Some(e) => Some(evaluation_from_json(e)?),
-        },
+        heuristic: m.get("heuristic").map(candidate_from_json).transpose()?,
+        heuristic_eval: m.get("heuristic_eval").map(evaluation_from_json).transpose()?,
     })
 }
 

@@ -25,21 +25,7 @@ use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::JsonValue;
 use axi4mlir_support::proto::{write_frame, Frame, FrameReader};
 
-use crate::protocol::{Request, SCHEMA};
-
-/// What the hub said in its `hello` reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HubInfo {
-    /// The hub's protocol schema (always [`SCHEMA`] after a successful
-    /// connect).
-    pub schema: String,
-    /// Result-cache entries the hub held at connect time.
-    pub cache_entries: usize,
-    /// The hub's job-queue capacity.
-    pub queue_capacity: usize,
-    /// The hub's executor-thread count.
-    pub workers: usize,
-}
+use crate::protocol::{EventState, HubInfo, Reply, Request, SCHEMA};
 
 /// One connection to a hub.
 pub struct HubClient {
@@ -69,29 +55,19 @@ impl HubClient {
         let mut client = HubClient {
             reader: FrameReader::new(BufReader::new(stream)),
             writer,
-            info: HubInfo {
-                schema: String::new(),
-                cache_entries: 0,
-                queue_capacity: 0,
-                workers: 0,
-            },
+            info: HubInfo::default(),
         };
         let hello = client.request(&Request::Hello)?;
-        let schema = hello.get("schema").and_then(JsonValue::as_str).unwrap_or("");
-        if schema != SCHEMA {
+        let Reply::Hello(info) = Reply::from_json(&hello).map_err(connect_err)? else {
+            return Err(connect_err("the hub answered hello with another frame"));
+        };
+        if info.schema != SCHEMA {
             return Err(connect_err(format!(
-                "schema mismatch: hub speaks `{schema}`, this client `{SCHEMA}`"
+                "schema mismatch: hub speaks `{}`, this client `{SCHEMA}`",
+                info.schema
             )));
         }
-        let count = |name: &str| {
-            hello.get(name).and_then(JsonValue::as_u64).map(|n| n as usize).unwrap_or(0)
-        };
-        client.info = HubInfo {
-            schema: schema.to_owned(),
-            cache_entries: count("cache_entries"),
-            queue_capacity: count("queue_capacity"),
-            workers: count("workers"),
-        };
+        client.info = info;
         Ok(client)
     }
 
@@ -121,74 +97,41 @@ impl HubClient {
         }
     }
 
+    /// Sends `request` and returns the reply frame, skipping the events
+    /// of already-submitted jobs that may interleave ahead of it
+    /// (replies stay in request order).
     fn request(&mut self, request: &Request) -> Result<JsonValue, Diagnostic> {
         self.send(request)?;
         loop {
-            let reply = self.next_frame()?;
-            match reply.get("type").and_then(JsonValue::as_str) {
-                // Progress of already-submitted jobs may interleave
-                // ahead of the reply; replies stay in request order.
-                Some("event") => continue,
-                Some("error") => {
-                    let reason =
-                        reply.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown");
-                    return Err(Diagnostic::error(format!("hub rejected the request: {reason}")));
+            let frame = self.next_frame()?;
+            match Reply::from_json(&frame)? {
+                Reply::Event { .. } => continue,
+                Reply::Error { reason } => {
+                    return Err(Diagnostic::error(format!("hub rejected the request: {reason}")))
                 }
-                _ => return Ok(reply),
+                _ => return Ok(frame),
             }
         }
     }
 
     /// Submits one job at the default priority (0); returns its id once
-    /// the hub accepts it.
+    /// the hub accepts it. (Jobs with a priority or a worker budget are
+    /// `submit` frames with those members; see [`Request::Submit`].)
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] for `error` (bad spec) and `rejected`
     /// (queue full) replies.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, Diagnostic> {
-        self.submit_with_priority(spec, 0)
-    }
-
-    /// Submits one job at an explicit priority. The hub always runs the
-    /// highest-priority queued job next, FIFO within a priority.
-    ///
-    /// # Errors
-    ///
-    /// See [`HubClient::submit`].
-    pub fn submit_with_priority(
-        &mut self,
-        spec: &JobSpec,
-        priority: i64,
-    ) -> Result<u64, Diagnostic> {
-        self.submit_with_options(spec, priority, None)
-    }
-
-    /// Submits one job with an explicit priority and an optional
-    /// per-job simulation-worker budget (`None` accepts the hub's fair
-    /// share).
-    ///
-    /// # Errors
-    ///
-    /// See [`HubClient::submit`].
-    pub fn submit_with_options(
-        &mut self,
-        spec: &JobSpec,
-        priority: i64,
-        sim_workers: Option<usize>,
-    ) -> Result<u64, Diagnostic> {
-        let reply =
-            self.request(&Request::Submit { spec: Box::new(spec.clone()), priority, sim_workers })?;
-        match reply.get("type").and_then(JsonValue::as_str) {
-            Some("accepted") => reply
-                .get("job")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| connect_err("accepted reply without a job id")),
-            Some("rejected") => {
-                let reason = reply.get("reason").and_then(JsonValue::as_str).unwrap_or("rejected");
+        let request =
+            Request::Submit { spec: Box::new(spec.clone()), priority: 0, sim_workers: None };
+        let reply = self.request(&request)?;
+        match Reply::from_json(&reply)? {
+            Reply::Accepted { job, .. } => Ok(job),
+            Reply::Rejected { reason, .. } => {
                 Err(Diagnostic::error(format!("hub rejected the job: {reason}")))
             }
-            other => Err(connect_err(format!("unexpected submit reply type {other:?}"))),
+            _ => Err(connect_err(format!("unexpected submit reply {}", reply.to_json_string()))),
         }
     }
 
@@ -206,10 +149,7 @@ impl HubClient {
         on_event: &mut dyn FnMut(&JsonValue),
     ) -> Result<ExploreReport, Diagnostic> {
         let id = self.submit(spec)?;
-        match self.await_job(id, on_event) {
-            JobOutcome::Done(report) => Ok(*report),
-            JobOutcome::Failed(err) | JobOutcome::Lost(err) => Err(err),
-        }
+        self.await_job(id, on_event).into_result()
     }
 
     /// Resumes job `id`'s event stream on this connection (replaying
@@ -227,10 +167,7 @@ impl HubClient {
         id: u64,
         on_event: &mut dyn FnMut(&JsonValue),
     ) -> Result<ExploreReport, Diagnostic> {
-        match self.follow_outcome(id, on_event) {
-            JobOutcome::Done(report) => Ok(*report),
-            JobOutcome::Failed(err) | JobOutcome::Lost(err) => Err(err),
-        }
+        self.follow_outcome(id, on_event).into_result()
     }
 
     fn follow_outcome(&mut self, id: u64, on_event: &mut dyn FnMut(&JsonValue)) -> JobOutcome {
@@ -243,16 +180,15 @@ impl HubClient {
                 Ok(frame) => frame,
                 Err(err) => return JobOutcome::Lost(err),
             };
-            match frame.get("type").and_then(JsonValue::as_str) {
-                Some("following") => break,
-                Some("error") => {
-                    let reason =
-                        frame.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown");
+            match Reply::from_json(&frame) {
+                Ok(Reply::Following { .. }) => break,
+                Ok(Reply::Error { reason }) => {
                     return JobOutcome::Failed(Diagnostic::error(format!(
                         "hub rejected the follow: {reason}"
                     )));
                 }
-                _ => continue, // unrelated frames
+                Ok(_) => continue, // unrelated frames
+                Err(err) => return JobOutcome::Failed(err),
             }
         }
         self.await_job(id, on_event)
@@ -267,26 +203,17 @@ impl HubClient {
                 Ok(frame) => frame,
                 Err(err) => return JobOutcome::Lost(err),
             };
-            match frame.get("type").and_then(JsonValue::as_str) {
-                Some("event") if frame.get("job").and_then(JsonValue::as_u64) == Some(id) => {
+            match Reply::from_json(&frame) {
+                Ok(Reply::Event { job, state }) if job == id => {
                     on_event(&frame);
-                    match frame.get("state").and_then(JsonValue::as_str) {
-                        Some("done") => {
-                            let Some(report) = frame.get("report") else {
-                                return JobOutcome::Failed(connect_err(
-                                    "done event without a report",
-                                ));
-                            };
-                            return match wire::report_from_json(report) {
+                    match state {
+                        EventState::Done { report, .. } => {
+                            return match wire::report_from_json(&report) {
                                 Ok(report) => JobOutcome::Done(Box::new(report)),
                                 Err(err) => JobOutcome::Failed(err),
                             };
                         }
-                        Some("failed") => {
-                            let reason = frame
-                                .get("reason")
-                                .and_then(JsonValue::as_str)
-                                .unwrap_or("unknown");
+                        EventState::Failed { reason } => {
                             return JobOutcome::Failed(Diagnostic::error(format!(
                                 "job {id} failed: {reason}"
                             )));
@@ -294,17 +221,19 @@ impl HubClient {
                         _ => {}
                     }
                 }
-                Some("shutting_down") => {
+                Ok(Reply::ShuttingDown) => {
                     return JobOutcome::Failed(connect_err(
                         "the hub shut down before the job finished",
                     ))
                 }
-                _ => {} // another job's event, or an unrelated reply
+                Ok(_) => {} // another job's event, or an unrelated reply
+                Err(err) => return JobOutcome::Failed(err),
             }
         }
     }
 
-    /// Asks for the hub's queue/cache counters.
+    /// Asks for the hub's queue/cache counters; the reply is the
+    /// `status` frame.
     ///
     /// # Errors
     ///
@@ -323,9 +252,7 @@ impl HubClient {
         self.send(&Request::Shutdown)?;
         loop {
             match self.reader.next_frame()? {
-                Frame::Value(frame)
-                    if frame.get("type").and_then(JsonValue::as_str) == Some("shutting_down") =>
-                {
+                Frame::Value(frame) if Reply::from_json(&frame) == Ok(Reply::ShuttingDown) => {
                     return Ok(());
                 }
                 Frame::Value(_) | Frame::Idle => continue,
@@ -345,6 +272,15 @@ enum JobOutcome {
     /// The *connection* died mid-stream; the job may well still be
     /// running, so a reconnect-and-follow can recover it.
     Lost(Diagnostic),
+}
+
+impl JobOutcome {
+    fn into_result(self) -> Result<ExploreReport, Diagnostic> {
+        match self {
+            JobOutcome::Done(report) => Ok(*report),
+            JobOutcome::Failed(err) | JobOutcome::Lost(err) => Err(err),
+        }
+    }
 }
 
 /// Runs `spec` on the hub at `addr`, surviving connection loss: when

@@ -15,8 +15,9 @@
 //!
 //! The crate splits into:
 //!
-//! - [`protocol`]: the wire vocabulary — request parsing, reply and
-//!   event builders, the schema tag;
+//! - [`protocol`]: the wire vocabulary — requests, replies and events
+//!   as typed values with one encoder and one decoder each, shared by
+//!   the server and the client;
 //! - [`server`]: the daemon — bounded job queue with backpressure,
 //!   executor pool over the shared explorer, incremental cache
 //!   checkpoints at rung boundaries, graceful SIGTERM shutdown;
@@ -33,6 +34,6 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{run_resilient, HubClient, HubInfo};
-pub use protocol::{Request, SCHEMA};
+pub use client::{run_resilient, HubClient};
+pub use protocol::{HubInfo, Request, SCHEMA};
 pub use server::{Hub, HubConfig, HubSummary};

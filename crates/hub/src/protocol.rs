@@ -3,15 +3,21 @@
 //! Every message is one JSON object per line (see
 //! [`axi4mlir_support::proto`] for the framing), discriminated by its
 //! `type` member. Clients send [`Request`]s; the server answers with
-//! reply frames (`hello`, `accepted`, `rejected`, `error`, `status`,
-//! `shutting_down`) and streams `event` frames for submitted jobs. The
-//! full protocol, field by field, is documented in `docs/PROTOCOL.md` —
-//! and a transcript from that document is replayed against a live hub
-//! by the integration tests, so the prose cannot drift from this code.
+//! [`Reply`] frames (`hello`, `accepted`, `rejected`, `following`,
+//! `error`, `status`, `shutting_down`) and streams `event` frames for
+//! submitted jobs. Each type has one encoder and one decoder, which the
+//! server and the client share; decoders read members through
+//! [`Members`], so every error names the member at fault. The full
+//! protocol, field by field, is documented in `docs/PROTOCOL.md` — and
+//! a transcript from that document is replayed against a live hub by the
+//! integration tests, so the prose cannot drift from this code.
 
-use axi4mlir_core::explore::{JobSpec, ProgressEvent};
+use std::borrow::Cow;
+
+use axi4mlir_core::explore::{Fidelity, JobSpec, ProgressEvent};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
+use axi4mlir_support::proto::tagged;
 
 /// The protocol schema tag, exchanged in `hello`.
 pub const SCHEMA: &str = "axi4mlir-hub/v1";
@@ -56,43 +62,26 @@ impl Request {
     /// and malformed `submit` jobs. These are *application* errors: the
     /// server replies with an `error` frame and keeps the connection.
     pub fn from_json(value: &JsonValue) -> Result<Request, Diagnostic> {
-        let kind = value
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| Diagnostic::error("request must be an object with a `type` member"))?;
-        match kind {
+        let tag: &str = Members::of(value, "request")?.req("type")?;
+        let m = Members::of(value, tag)?;
+        match tag {
             "hello" => Ok(Request::Hello),
             "status" => Ok(Request::Status),
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
-                let job = value
-                    .get("job")
-                    .ok_or_else(|| Diagnostic::error("submit requires a `job` member"))?;
-                let priority = match value.get("priority") {
-                    None => 0,
-                    Some(raw) => raw
-                        .as_i64()
-                        .ok_or_else(|| Diagnostic::error("submit `priority` must be an integer"))?,
-                };
-                let sim_workers = match value.get("sim_workers") {
-                    None => None,
-                    Some(raw) => Some(raw.as_u64().filter(|&n| n > 0).ok_or_else(|| {
-                        Diagnostic::error("submit `sim_workers` must be a positive integer")
-                    })? as usize),
-                };
+                let job = m.value("job")?;
+                let priority = m.opt("priority")?.unwrap_or(0);
+                let sim_workers = m.opt("sim_workers")?;
+                if sim_workers == Some(0) {
+                    return Err(m.invalid("sim_workers", "must be a positive integer"));
+                }
                 Ok(Request::Submit {
                     spec: Box::new(JobSpec::from_json(job)?),
                     priority,
                     sim_workers,
                 })
             }
-            "follow" => {
-                let job = value
-                    .get("job")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| Diagnostic::error("follow requires a numeric `job` member"))?;
-                Ok(Request::Follow { job })
-            }
+            "follow" => Ok(Request::Follow { job: m.req("job")? }),
             other => Err(Diagnostic::error(format!("unknown request type `{other}`"))),
         }
     }
@@ -100,74 +89,292 @@ impl Request {
     /// Serializes the request (the client side of [`Request::from_json`]).
     pub fn to_json(&self) -> JsonValue {
         match self {
-            Request::Hello => tagged("hello", vec![]),
-            Request::Status => tagged("status", vec![]),
-            Request::Shutdown => tagged("shutdown", vec![]),
+            Request::Hello => tagged("hello", []),
+            Request::Status => tagged("status", []),
+            Request::Shutdown => tagged("shutdown", []),
             Request::Submit { spec, priority, sim_workers } => {
-                let mut members = vec![("job".to_owned(), spec.to_json())];
+                let mut members = vec![("job", spec.to_json())];
                 // Priority 0 is the default; omitting it keeps the
                 // frame identical to a pre-priority client's. Likewise
                 // an unset worker budget stays off the wire.
                 if *priority != 0 {
-                    members.push(("priority".to_owned(), (*priority).into()));
+                    members.push(("priority", (*priority).into()));
                 }
                 if let Some(budget) = sim_workers {
-                    members.push(("sim_workers".to_owned(), (*budget).into()));
+                    members.push(("sim_workers", (*budget).into()));
                 }
                 tagged("submit", members)
             }
-            Request::Follow { job } => tagged("follow", vec![("job".to_owned(), (*job).into())]),
+            Request::Follow { job } => tagged("follow", [("job", (*job).into())]),
         }
     }
 }
 
-/// Builds a `{"type": tag, ...members}` frame.
-pub fn tagged(tag: &str, members: Vec<(String, JsonValue)>) -> JsonValue {
-    let mut all = vec![("type".to_owned(), tag.into())];
-    all.extend(members);
-    JsonValue::object(all)
+/// What the hub says about itself in its `hello` reply.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HubInfo {
+    /// The hub's protocol schema.
+    pub schema: String,
+    /// Result-cache entries the hub holds.
+    pub cache_entries: usize,
+    /// The hub's job-queue capacity.
+    pub queue_capacity: usize,
+    /// The hub's executor-thread count.
+    pub workers: usize,
 }
 
-/// Builds an `error` reply.
-pub fn error(reason: &str) -> JsonValue {
-    tagged("error", vec![("reason".to_owned(), reason.into())])
+/// The hub's live counters, as a `status` reply carries them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HubStatus {
+    /// Jobs waiting in the queue.
+    pub queued: usize,
+    /// Jobs an executor is running.
+    pub running: usize,
+    /// Jobs that finished with a report.
+    pub completed: usize,
+    /// Jobs that failed.
+    pub failed: usize,
+    /// Result-cache entries.
+    pub cache_entries: usize,
+    /// Measurements one job took from another job's simulation.
+    pub dedup_hits: usize,
 }
 
-/// Builds a job `event` frame in state `state` with extra members.
-pub fn event(job: u64, state: &str, members: Vec<(String, JsonValue)>) -> JsonValue {
-    let mut all = vec![("job".to_owned(), job.into()), ("state".to_owned(), state.into())];
-    all.extend(members);
-    tagged("event", all)
+/// One server → client frame: a reply to a request, or a job event.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reply<'a> {
+    /// The answer to `hello`.
+    Hello(HubInfo),
+    /// The job is queued.
+    Accepted {
+        /// The job's id.
+        job: u64,
+        /// Queued jobs that run before it.
+        queued_ahead: usize,
+    },
+    /// Backpressure: the queue is full.
+    Rejected {
+        /// Why.
+        reason: String,
+        /// Jobs in the queue.
+        queued: usize,
+        /// The queue's capacity.
+        queue_capacity: usize,
+    },
+    /// A `follow` re-attached the job's stream; the replay follows.
+    Following {
+        /// The job's id.
+        job: u64,
+        /// Buffered events about to be replayed.
+        replayed: usize,
+    },
+    /// The request was malformed or its job invalid.
+    Error {
+        /// Why.
+        reason: String,
+    },
+    /// The answer to `status`.
+    Status(HubStatus),
+    /// Goodbye: the hub closes the connection after it.
+    ShuttingDown,
+    /// Progress of a job.
+    Event {
+        /// The job's id.
+        job: u64,
+        /// Where the job is.
+        state: EventState<'a>,
+    },
 }
 
-/// The `event` frame for one in-flight [`ProgressEvent`].
-pub fn progress_event(job: u64, progress: &ProgressEvent) -> JsonValue {
-    match progress {
-        ProgressEvent::SpaceReady { space_size, survivors } => event(
-            job,
-            "space-ready",
-            vec![
-                ("space_size".to_owned(), (*space_size).into()),
-                ("survivors".to_owned(), (*survivors).into()),
-            ],
-        ),
-        ProgressEvent::RungComplete {
-            fidelity,
-            survivors,
-            sims_performed,
-            cache_hits,
-            full_sims_performed,
-        } => event(
-            job,
-            "rung-complete",
-            vec![
-                ("fidelity".to_owned(), fidelity.label().into()),
-                ("survivors".to_owned(), (*survivors).into()),
-                ("sims_performed".to_owned(), (*sims_performed).into()),
-                ("cache_hits".to_owned(), (*cache_hits).into()),
-                ("full_sims_performed".to_owned(), (*full_sims_performed).into()),
-            ],
-        ),
+/// The `state` of a job event, with the members that state carries.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EventState<'a> {
+    /// Accepted into the queue.
+    Queued,
+    /// An executor picked the job up.
+    Running {
+        /// The granted per-job worker budget.
+        sim_workers: usize,
+    },
+    /// A sweep milestone: `space-ready` or `rung-complete`.
+    Progress(ProgressEvent),
+    /// Terminal: the sweep finished.
+    Done {
+        /// Full-fidelity simulations the job performed.
+        full_sims_performed: usize,
+        /// Full simulations per second; `None` when there were none.
+        sims_per_sec: Option<f64>,
+        /// Running-to-done wall time inside the hub.
+        elapsed_ms: f64,
+        /// The report in its [`axi4mlir_core::explore::wire`] form, kept
+        /// as JSON: a client decodes it only for its own job.
+        report: Cow<'a, JsonValue>,
+    },
+    /// Terminal: the sweep failed or was cancelled.
+    Failed {
+        /// Why.
+        reason: String,
+    },
+    /// Another connection `follow`ed the job away from this one.
+    Detached,
+}
+
+impl Reply<'_> {
+    /// Encodes the frame, moving a `done` report into it.
+    pub fn into_json(self) -> JsonValue {
+        match self {
+            Reply::Hello(info) => tagged(
+                "hello",
+                [
+                    ("schema", info.schema.into()),
+                    ("cache_entries", info.cache_entries.into()),
+                    ("queue_capacity", info.queue_capacity.into()),
+                    ("workers", info.workers.into()),
+                ],
+            ),
+            Reply::Accepted { job, queued_ahead } => {
+                tagged("accepted", [("job", job.into()), ("queued_ahead", queued_ahead.into())])
+            }
+            Reply::Rejected { reason, queued, queue_capacity } => tagged(
+                "rejected",
+                [
+                    ("reason", reason.into()),
+                    ("queued", queued.into()),
+                    ("queue_capacity", queue_capacity.into()),
+                ],
+            ),
+            Reply::Following { job, replayed } => {
+                tagged("following", [("job", job.into()), ("replayed", replayed.into())])
+            }
+            Reply::Error { reason } => tagged("error", [("reason", reason.into())]),
+            Reply::Status(status) => tagged(
+                "status",
+                [
+                    ("queued", status.queued.into()),
+                    ("running", status.running.into()),
+                    ("completed", status.completed.into()),
+                    ("failed", status.failed.into()),
+                    ("cache_entries", status.cache_entries.into()),
+                    ("dedup_hits", status.dedup_hits.into()),
+                ],
+            ),
+            Reply::ShuttingDown => tagged("shutting_down", []),
+            Reply::Event { job, state } => {
+                let (state, members) = match state {
+                    EventState::Queued => ("queued", vec![]),
+                    EventState::Running { sim_workers } => {
+                        ("running", vec![("sim_workers", sim_workers.into())])
+                    }
+                    EventState::Progress(ProgressEvent::SpaceReady { space_size, survivors }) => (
+                        "space-ready",
+                        vec![("space_size", space_size.into()), ("survivors", survivors.into())],
+                    ),
+                    EventState::Progress(ProgressEvent::RungComplete {
+                        fidelity,
+                        survivors,
+                        sims_performed,
+                        cache_hits,
+                        full_sims_performed,
+                    }) => (
+                        "rung-complete",
+                        vec![
+                            ("fidelity", fidelity.label().into()),
+                            ("survivors", survivors.into()),
+                            ("sims_performed", sims_performed.into()),
+                            ("cache_hits", cache_hits.into()),
+                            ("full_sims_performed", full_sims_performed.into()),
+                        ],
+                    ),
+                    EventState::Done { full_sims_performed, sims_per_sec, elapsed_ms, report } => (
+                        "done",
+                        vec![
+                            ("full_sims_performed", full_sims_performed.into()),
+                            ("sims_per_sec", sims_per_sec.map_or(JsonValue::Null, Into::into)),
+                            ("elapsed_ms", elapsed_ms.into()),
+                            ("report", report.into_owned()),
+                        ],
+                    ),
+                    EventState::Failed { reason } => ("failed", vec![("reason", reason.into())]),
+                    EventState::Detached => ("detached", vec![]),
+                };
+                let head = [("job", job.into()), ("state", state.into())];
+                tagged("event", head.into_iter().chain(members))
+            }
+        }
+    }
+}
+
+impl<'a> Reply<'a> {
+    /// Decodes one frame. A `done` event borrows its report from
+    /// `value`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] naming the missing or malformed member,
+    /// or the unknown `type` or `state`.
+    pub fn from_json(value: &'a JsonValue) -> Result<Reply<'a>, Diagnostic> {
+        let tag: &str = Members::of(value, "hub reply")?.req("type")?;
+        let m = Members::of(value, tag)?;
+        Ok(match tag {
+            "hello" => Reply::Hello(HubInfo {
+                schema: m.req("schema")?,
+                cache_entries: m.req("cache_entries")?,
+                queue_capacity: m.req("queue_capacity")?,
+                workers: m.req("workers")?,
+            }),
+            "accepted" => {
+                Reply::Accepted { job: m.req("job")?, queued_ahead: m.req("queued_ahead")? }
+            }
+            "rejected" => Reply::Rejected {
+                reason: m.req("reason")?,
+                queued: m.req("queued")?,
+                queue_capacity: m.req("queue_capacity")?,
+            },
+            "following" => Reply::Following { job: m.req("job")?, replayed: m.req("replayed")? },
+            "error" => Reply::Error { reason: m.req("reason")? },
+            "status" => Reply::Status(HubStatus {
+                queued: m.req("queued")?,
+                running: m.req("running")?,
+                completed: m.req("completed")?,
+                failed: m.req("failed")?,
+                cache_entries: m.req("cache_entries")?,
+                dedup_hits: m.req("dedup_hits")?,
+            }),
+            "shutting_down" => Reply::ShuttingDown,
+            "event" => {
+                let state = match m.req("state")? {
+                    "queued" => EventState::Queued,
+                    "running" => EventState::Running { sim_workers: m.req("sim_workers")? },
+                    "space-ready" => EventState::Progress(ProgressEvent::SpaceReady {
+                        space_size: m.req("space_size")?,
+                        survivors: m.req("survivors")?,
+                    }),
+                    "rung-complete" => {
+                        let label = m.req("fidelity")?;
+                        EventState::Progress(ProgressEvent::RungComplete {
+                            fidelity: Fidelity::parse(label).ok_or_else(|| {
+                                m.invalid("fidelity", format!("`{label}` is not full|proxy:N"))
+                            })?,
+                            survivors: m.req("survivors")?,
+                            sims_performed: m.req("sims_performed")?,
+                            cache_hits: m.req("cache_hits")?,
+                            full_sims_performed: m.req("full_sims_performed")?,
+                        })
+                    }
+                    "done" => EventState::Done {
+                        full_sims_performed: m.req("full_sims_performed")?,
+                        sims_per_sec: m.opt("sims_per_sec")?,
+                        elapsed_ms: m.req("elapsed_ms")?,
+                        report: Cow::Borrowed(m.value("report")?),
+                    },
+                    "failed" => EventState::Failed { reason: m.req("reason")? },
+                    "detached" => EventState::Detached,
+                    other => return Err(m.invalid("state", format!("`{other}` is unknown"))),
+                };
+                Reply::Event { job: m.req("job")?, state }
+            }
+            other => return Err(Diagnostic::error(format!("unknown hub reply `{other}`"))),
+        })
     }
 }
 
@@ -231,20 +438,19 @@ mod tests {
 
     #[test]
     fn progress_events_carry_the_rung_counters() {
-        use axi4mlir_core::explore::Fidelity;
-        let frame = progress_event(
-            3,
-            &ProgressEvent::RungComplete {
-                fidelity: Fidelity::Proxy { level: 2 },
-                survivors: 8,
-                sims_performed: 10,
-                cache_hits: 6,
-                full_sims_performed: 0,
-            },
-        );
+        let progress = ProgressEvent::RungComplete {
+            fidelity: Fidelity::Proxy { level: 2 },
+            survivors: 8,
+            sims_performed: 10,
+            cache_hits: 6,
+            full_sims_performed: 0,
+        };
+        let frame = Reply::Event { job: 3, state: EventState::Progress(progress) }.into_json();
         assert_eq!(frame.get("type").unwrap().as_str(), Some("event"));
         assert_eq!(frame.get("state").unwrap().as_str(), Some("rung-complete"));
         assert_eq!(frame.get("fidelity").unwrap().as_str(), Some("proxy:2"));
         assert_eq!(frame.get("cache_hits").unwrap().as_u64(), Some(6));
+        let event = Reply::from_json(&frame).unwrap();
+        assert_eq!(event, Reply::Event { job: 3, state: EventState::Progress(progress) });
     }
 }

@@ -56,6 +56,7 @@
 //! caching, and dedup stay hub-side, so reports are bit-identical to
 //! local runs (timing aside) and a lost worker only costs throughput.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -73,7 +74,7 @@ use axi4mlir_support::fault::{self, FaultAction};
 use axi4mlir_support::json::JsonValue;
 use axi4mlir_support::proto::{write_frame, write_frame_at, Frame, FrameReader};
 
-use crate::protocol::{self, Request};
+use crate::protocol::{EventState, HubInfo, HubStatus, Reply, Request, SCHEMA};
 
 /// How the daemon is set up.
 #[derive(Clone, Debug)]
@@ -146,8 +147,10 @@ struct Job {
 /// One message in a connection's inbox: the serving thread handles
 /// both kinds in arrival order.
 enum Inbound {
-    /// An event of a job this connection is subscribed to.
-    Event(JsonValue),
+    /// An encoded event of a job this connection is subscribed to;
+    /// `last` when it ends the subscription (`done`, `failed`,
+    /// `detached`).
+    Event { frame: JsonValue, last: bool },
     /// The reader thread's next read: a request frame, EOF, or the
     /// error that ended the stream.
     Frame(Result<Frame, Diagnostic>),
@@ -196,24 +199,23 @@ impl EventHub {
         );
     }
 
-    /// Appends `event` to the job's replay buffer and forwards it to
-    /// the current subscriber (a dead subscriber is ignored — the
-    /// buffer is what a future `follow` replays). A `done`/`failed`
-    /// event marks the log terminal and starts its retention clock.
-    fn publish(&self, id: u64, event: JsonValue) {
+    /// Encodes `event` once, appends it to the job's replay buffer and
+    /// forwards it to the current subscriber (a dead subscriber is
+    /// ignored — the buffer is what a future `follow` replays). A
+    /// `done`/`failed` event marks the log terminal and starts its
+    /// retention clock.
+    fn publish(&self, id: u64, state: EventState<'_>) {
+        let terminal = matches!(state, EventState::Done { .. } | EventState::Failed { .. });
+        let frame = Reply::Event { job: id, state }.into_json();
         let mut inner = self.inner.lock().expect("event hub poisoned");
         let newly_terminal = {
             let Some(log) = inner.jobs.get_mut(&id) else { return };
             if log.events.len() >= self.capacity {
                 log.events.pop_front();
             }
-            let terminal = matches!(
-                event.get("state").and_then(JsonValue::as_str),
-                Some("done") | Some("failed")
-            );
-            log.events.push_back(event.clone());
+            log.events.push_back(frame.clone());
             if let Some(subscriber) = &log.subscriber {
-                let _ = subscriber.send(Inbound::Event(event));
+                let _ = subscriber.send(Inbound::Event { frame, last: terminal });
             }
             let newly = terminal && !log.terminal;
             log.terminal |= terminal;
@@ -232,19 +234,27 @@ impl EventHub {
     /// Re-attaches a job's stream to `subscriber`: the previous
     /// subscriber (if any) receives a synthetic `detached` event (not
     /// buffered — it describes the old connection, not the job), and
-    /// the buffered events are returned for replay. `Err` carries the
-    /// `error` frame for an unknown or evicted job.
-    fn follow(&self, id: u64, subscriber: Sender<Inbound>) -> Result<Vec<JsonValue>, JsonValue> {
+    /// the buffered events are returned for replay, with whether the
+    /// job is already terminal. `Err` carries the `error` reply for an
+    /// unknown or evicted job.
+    fn follow(
+        &self,
+        id: u64,
+        subscriber: Sender<Inbound>,
+    ) -> Result<(Vec<JsonValue>, bool), Reply<'static>> {
         let mut inner = self.inner.lock().expect("event hub poisoned");
         let Some(log) = inner.jobs.get_mut(&id) else {
-            return Err(protocol::error(&format!(
-                "follow `job` {id} is unknown (never submitted, or its events were evicted)"
-            )));
+            return Err(Reply::Error {
+                reason: format!(
+                    "follow `job` {id} is unknown (never submitted, or its events were evicted)"
+                ),
+            });
         };
         if let Some(previous) = log.subscriber.replace(subscriber) {
-            let _ = previous.send(Inbound::Event(protocol::event(id, "detached", vec![])));
+            let detached = Reply::Event { job: id, state: EventState::Detached };
+            let _ = previous.send(Inbound::Event { frame: detached.into_json(), last: true });
         }
-        Ok(log.events.iter().cloned().collect())
+        Ok((log.events.iter().cloned().collect(), log.terminal))
     }
 }
 
@@ -258,21 +268,14 @@ fn take_next(queue: &mut VecDeque<Job>) -> Option<Job> {
     queue.remove(at)
 }
 
-#[derive(Default)]
-struct Stats {
-    queued: usize,
-    running: usize,
-    completed: usize,
-    failed: usize,
-}
-
 /// State shared by the listener, connection threads, and executors.
 struct Shared {
     explorer: Explorer,
     config: HubConfig,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
-    stats: Mutex<Stats>,
+    /// Job counters; the cache members are filled in per `status` reply.
+    stats: Mutex<HubStatus>,
     events: EventHub,
     next_job: AtomicU64,
     stop: AtomicBool,
@@ -289,7 +292,7 @@ impl Shared {
         self.available.notify_all();
     }
 
-    fn with_stats<T>(&self, act: impl FnOnce(&mut Stats) -> T) -> T {
+    fn with_stats<T>(&self, act: impl FnOnce(&mut HubStatus) -> T) -> T {
         act(&mut self.stats.lock().expect("hub stats poisoned"))
     }
 
@@ -308,55 +311,24 @@ impl Shared {
         }
     }
 
-    fn hello(&self) -> JsonValue {
-        protocol::tagged(
-            "hello",
-            vec![
-                ("schema".to_owned(), protocol::SCHEMA.into()),
-                ("cache_entries".to_owned(), self.explorer.cache_len().into()),
-                ("queue_capacity".to_owned(), self.config.queue_capacity.into()),
-                ("workers".to_owned(), self.config.workers.into()),
-            ],
-        )
-    }
-
-    fn status(&self) -> JsonValue {
-        let (queued, running, completed, failed) =
-            self.with_stats(|s| (s.queued, s.running, s.completed, s.failed));
-        protocol::tagged(
-            "status",
-            vec![
-                ("queued".to_owned(), queued.into()),
-                ("running".to_owned(), running.into()),
-                ("completed".to_owned(), completed.into()),
-                ("failed".to_owned(), failed.into()),
-                ("cache_entries".to_owned(), self.explorer.cache_len().into()),
-                ("dedup_hits".to_owned(), self.explorer.dedup_hits().into()),
-            ],
-        )
-    }
-
-    /// Validates and enqueues one job. `Err` carries the reply frame to
-    /// send instead of `accepted` (an `error` for a bad spec, a
-    /// `rejected` for a full queue).
+    /// Validates and enqueues one job. `Err` carries the reply to send
+    /// instead of `accepted` (an `error` for a bad spec, a `rejected`
+    /// for a full queue).
     fn submit(
         &self,
         spec: JobSpec,
         priority: i64,
         sim_workers: Option<usize>,
         events: Sender<Inbound>,
-    ) -> Result<(u64, usize), JsonValue> {
-        let request = spec.build().map_err(|err| protocol::error(&err.message))?;
+    ) -> Result<(u64, usize), Reply<'static>> {
+        let request = spec.build().map_err(|err| Reply::Error { reason: err.message })?;
         let mut queue = self.queue.lock().expect("hub queue poisoned");
         if queue.len() >= self.config.queue_capacity {
-            return Err(protocol::tagged(
-                "rejected",
-                vec![
-                    ("reason".to_owned(), "queue full".into()),
-                    ("queued".to_owned(), queue.len().into()),
-                    ("queue_capacity".to_owned(), self.config.queue_capacity.into()),
-                ],
-            ));
+            return Err(Reply::Rejected {
+                reason: "queue full".to_owned(),
+                queued: queue.len(),
+                queue_capacity: self.config.queue_capacity,
+            });
         }
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         // How many queued jobs would run before this one under the
@@ -367,7 +339,7 @@ impl Shared {
         // executor can publish `running` first or take the job off the
         // `queued` count before it is on it.
         self.events.register(id, events);
-        self.events.publish(id, protocol::event(id, "queued", vec![]));
+        self.events.publish(id, EventState::Queued);
         self.with_stats(|s| s.queued += 1);
         queue.push_back(Job { id, request, priority, sim_workers });
         drop(queue);
@@ -424,7 +396,7 @@ impl Hub {
                 config,
                 queue: Mutex::new(VecDeque::new()),
                 available: Condvar::new(),
-                stats: Mutex::new(Stats::default()),
+                stats: Mutex::new(HubStatus::default()),
                 next_job: AtomicU64::new(1),
                 stop: AtomicBool::new(false),
             }),
@@ -491,14 +463,8 @@ impl Hub {
                 s.queued -= 1;
                 s.failed += 1;
             });
-            self.shared.events.publish(
-                job.id,
-                protocol::event(
-                    job.id,
-                    "failed",
-                    vec![("reason".to_owned(), "hub shutting down".into())],
-                ),
-            );
+            let reason = "hub shutting down".to_owned();
+            self.shared.events.publish(job.id, EventState::Failed { reason });
         }
         // ...connections forward those terminal events, say goodbye,
         // and hang up.
@@ -572,21 +538,20 @@ fn serve_inbox(
     let io = |err: std::io::Error| Diagnostic::error(format!("connection write failed: {err}"));
     loop {
         if shared.stopping() && active == 0 {
-            let _ = write_frame(&mut writer, &protocol::tagged("shutting_down", vec![]));
+            let _ = write_frame(&mut writer, &Reply::ShuttingDown.into_json());
             return Ok(());
         }
         let frame = match inbound.recv_timeout(STOP_POLL) {
             Err(RecvTimeoutError::Timeout) => continue,
             // Unreachable while `inbox` is alive; treat it as a hang-up.
             Err(RecvTimeoutError::Disconnected) => return Ok(()),
-            Ok(Inbound::Event(event)) => {
-                let state = event.get("state").and_then(JsonValue::as_str);
-                if matches!(state, Some("done") | Some("failed") | Some("detached")) {
+            Ok(Inbound::Event { frame, last }) => {
+                if last {
                     // `detached`: another connection took over this job's
                     // stream via `follow`; it no longer holds our goodbye.
                     active = active.saturating_sub(1);
                 }
-                write_frame_at("hub.event", &mut writer, &event).map_err(io)?;
+                write_frame_at("hub.event", &mut writer, &frame).map_err(io)?;
                 continue;
             }
             Ok(Inbound::Frame(frame)) => {
@@ -596,7 +561,8 @@ fn serve_inbox(
                     // Framing/JSON errors are fatal to the connection; say
                     // why before hanging up (best effort — the peer may be
                     // gone).
-                    let _ = write_frame(&mut writer, &protocol::error(&err.message));
+                    let error = Reply::Error { reason: err.message.clone() };
+                    let _ = write_frame(&mut writer, &error.into_json());
                 })?
             }
         };
@@ -605,9 +571,18 @@ fn serve_inbox(
             Frame::Eof => return Ok(()),
             Frame::Value(value) => {
                 let reply = match Request::from_json(&value) {
-                    Err(err) => protocol::error(&err.message),
-                    Ok(Request::Hello) => shared.hello(),
-                    Ok(Request::Status) => shared.status(),
+                    Err(err) => Reply::Error { reason: err.message },
+                    Ok(Request::Hello) => Reply::Hello(HubInfo {
+                        schema: SCHEMA.to_owned(),
+                        cache_entries: shared.explorer.cache_len(),
+                        queue_capacity: shared.config.queue_capacity,
+                        workers: shared.config.workers,
+                    }),
+                    Ok(Request::Status) => Reply::Status(HubStatus {
+                        cache_entries: shared.explorer.cache_len(),
+                        dedup_hits: shared.explorer.dedup_hits(),
+                        ..shared.with_stats(|s| *s)
+                    }),
                     Ok(Request::Shutdown) => {
                         shared.request_stop();
                         // The goodbye frame is sent (above) once this
@@ -617,16 +592,10 @@ fn serve_inbox(
                     Ok(Request::Submit { spec, priority, sim_workers }) => {
                         match shared.submit(*spec, priority, sim_workers, inbox.clone()) {
                             Err(reply) => reply,
-                            Ok((id, ahead)) => {
+                            Ok((id, queued_ahead)) => {
                                 active += 1;
-                                let accepted = protocol::tagged(
-                                    "accepted",
-                                    vec![
-                                        ("job".to_owned(), id.into()),
-                                        ("queued_ahead".to_owned(), ahead.into()),
-                                    ],
-                                );
-                                write_frame(&mut writer, &accepted).map_err(io)?;
+                                let accepted = Reply::Accepted { job: id, queued_ahead };
+                                write_frame(&mut writer, &accepted.into_json()).map_err(io)?;
                                 // The `queued` event (already published)
                                 // is waiting in the inbox.
                                 continue;
@@ -636,27 +605,15 @@ fn serve_inbox(
                     Ok(Request::Follow { job }) => {
                         match shared.events.follow(job, inbox.clone()) {
                             Err(reply) => reply,
-                            Ok(replay) => {
-                                let replayed_terminal = replay.iter().any(|event| {
-                                    matches!(
-                                        event.get("state").and_then(JsonValue::as_str),
-                                        Some("done") | Some("failed")
-                                    )
-                                });
-                                if !replayed_terminal {
+                            Ok((replay, terminal)) => {
+                                if !terminal {
                                     // A live job: its terminal event will
                                     // arrive in our inbox; hold the
                                     // goodbye for it.
                                     active += 1;
                                 }
-                                let following = protocol::tagged(
-                                    "following",
-                                    vec![
-                                        ("job".to_owned(), job.into()),
-                                        ("replayed".to_owned(), replay.len().into()),
-                                    ],
-                                );
-                                write_frame(&mut writer, &following).map_err(io)?;
+                                let following = Reply::Following { job, replayed: replay.len() };
+                                write_frame(&mut writer, &following.into_json()).map_err(io)?;
                                 for event in &replay {
                                     write_frame_at("hub.event", &mut writer, event).map_err(io)?;
                                 }
@@ -665,7 +622,7 @@ fn serve_inbox(
                         }
                     }
                 };
-                write_frame(&mut writer, &reply).map_err(io)?;
+                write_frame(&mut writer, &reply.into_json()).map_err(io)?;
             }
         }
     }
@@ -696,10 +653,7 @@ fn executor_loop(shared: &Arc<Shared>) {
             s.running
         });
         let budget = job_budget(shared.config.sim_workers, job.sim_workers, running);
-        shared.events.publish(
-            job.id,
-            protocol::event(job.id, "running", vec![("sim_workers".to_owned(), budget.into())]),
-        );
+        shared.events.publish(job.id, EventState::Running { sim_workers: budget });
         let started = Instant::now();
         let outcome = run_job(shared, &job, budget);
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -711,19 +665,12 @@ fn executor_loop(shared: &Arc<Shared>) {
                 });
                 shared.events.publish(
                     job.id,
-                    protocol::event(
-                        job.id,
-                        "done",
-                        vec![
-                            ("full_sims_performed".to_owned(), report.full_sims_performed.into()),
-                            (
-                                "sims_per_sec".to_owned(),
-                                report.sims_per_sec().map_or(JsonValue::Null, JsonValue::from),
-                            ),
-                            ("elapsed_ms".to_owned(), elapsed_ms.into()),
-                            ("report".to_owned(), wire::report_to_json(&report)),
-                        ],
-                    ),
+                    EventState::Done {
+                        full_sims_performed: report.full_sims_performed,
+                        sims_per_sec: report.sims_per_sec(),
+                        elapsed_ms,
+                        report: Cow::Owned(wire::report_to_json(&report)),
+                    },
                 );
             }
             Err(err) => {
@@ -731,14 +678,7 @@ fn executor_loop(shared: &Arc<Shared>) {
                     s.running -= 1;
                     s.failed += 1;
                 });
-                shared.events.publish(
-                    job.id,
-                    protocol::event(
-                        job.id,
-                        "failed",
-                        vec![("reason".to_owned(), err.message.into())],
-                    ),
-                );
+                shared.events.publish(job.id, EventState::Failed { reason: err.message });
             }
         }
     }
@@ -749,7 +689,7 @@ fn executor_loop(shared: &Arc<Shared>) {
 fn run_job(shared: &Arc<Shared>, job: &Job, budget: usize) -> Result<ExploreReport, Diagnostic> {
     let request = &job.request;
     let observer = |event: &ProgressEvent| {
-        shared.events.publish(job.id, protocol::progress_event(job.id, event));
+        shared.events.publish(job.id, EventState::Progress(*event));
         if matches!(event, ProgressEvent::RungComplete { .. }) {
             // A failed checkpoint must not kill the sweep; the final
             // flush at shutdown will surface persistent trouble.
@@ -809,29 +749,31 @@ mod tests {
         let hub = EventHub::new(3);
         let (tx, rx) = mpsc::channel();
         hub.register(7, tx);
-        for n in 0..5u64 {
-            hub.publish(7, protocol::event(7, "progress", vec![("n".to_owned(), n.into())]));
+        for n in 0..5 {
+            let state =
+                EventState::Progress(ProgressEvent::SpaceReady { space_size: n, survivors: n });
+            hub.publish(7, state);
         }
         // The live subscriber saw everything…
         assert_eq!(rx.try_iter().count(), 5);
         // …but the replay buffer keeps only the newest 3.
         let (tx2, rx2) = mpsc::channel();
-        let replay = hub.follow(7, tx2).unwrap();
+        let (replay, terminal) = hub.follow(7, tx2).unwrap();
         assert_eq!(replay.len(), 3);
-        assert_eq!(replay[0].get("n").and_then(JsonValue::as_u64), Some(2));
+        assert_eq!(replay[0].get("space_size").and_then(JsonValue::as_u64), Some(2));
+        assert!(!terminal);
         // The old subscriber was told it lost the stream (not buffered).
         assert_eq!(rx.try_iter().count(), 1);
         // New events reach the new subscriber only.
-        hub.publish(7, protocol::event(7, "done", vec![]));
+        hub.publish(7, EventState::Failed { reason: "test".to_owned() });
         assert_eq!(rx2.try_iter().count(), 1);
         assert_eq!(rx.try_iter().count(), 0);
         // A terminal job stays followable; an unknown one blames `job`.
         let (tx3, _rx3) = mpsc::channel();
-        assert!(hub.follow(7, tx3).is_ok());
+        assert!(hub.follow(7, tx3).unwrap().1, "the job is terminal");
         let (tx4, _rx4) = mpsc::channel();
-        let err = hub.follow(99, tx4).unwrap_err();
-        assert_eq!(err.get("type").and_then(JsonValue::as_str), Some("error"));
-        assert!(err.get("reason").and_then(JsonValue::as_str).unwrap().contains("job"));
+        let Err(Reply::Error { reason }) = hub.follow(99, tx4) else { panic!("an error reply") };
+        assert!(reason.contains("job"));
     }
 
     #[test]
@@ -840,7 +782,7 @@ mod tests {
         for id in 0..(RETAINED_FINISHED as u64 + 5) {
             let (tx, _rx) = mpsc::channel();
             hub.register(id, tx);
-            hub.publish(id, protocol::event(id, "done", vec![]));
+            hub.publish(id, EventState::Failed { reason: "test".to_owned() });
         }
         let (tx, _rx) = mpsc::channel();
         assert!(hub.follow(0, tx).is_err(), "oldest finished job evicted");

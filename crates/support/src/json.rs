@@ -131,8 +131,8 @@ impl JsonValue {
     }
 
     /// An object from `(key, value)` pairs, preserving order.
-    pub fn object(members: impl IntoIterator<Item = (String, JsonValue)>) -> JsonValue {
-        JsonValue::Object(members.into_iter().collect())
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Object(members.into_iter().map(|(key, value)| (key.into(), value)).collect())
     }
 
     /// Compact (single-line) serialization.
@@ -243,51 +243,196 @@ fn write_seq(
     out.push(close);
 }
 
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
+/// A value one JSON member decodes into, for [`Members::req`] and
+/// [`Members::opt`].
+pub trait FromJson<'a>: Sized {
+    /// How a well-formed member reads, for error messages (`a string`).
+    fn expected() -> String;
+
+    /// Decodes `value`, or `None` when it has another shape.
+    fn decode(value: &'a JsonValue) -> Option<Self>;
+}
+
+macro_rules! from_json {
+    ($($ty:ty: $expected:literal, $decode:expr;)*) => {$(
+        impl<'a> FromJson<'a> for $ty {
+            fn expected() -> String {
+                $expected.to_owned()
+            }
+
+            fn decode(value: &'a JsonValue) -> Option<Self> {
+                $decode(value)
+            }
+        }
+    )*};
+}
+
+from_json! {
+    bool: "a boolean", JsonValue::as_bool;
+    u64: "a non-negative integer", JsonValue::as_u64;
+    usize: "a non-negative integer", |v: &JsonValue| v.as_u64().and_then(|n| n.try_into().ok());
+    i64: "an integer", JsonValue::as_i64;
+    f64: "a number", JsonValue::as_f64;
+    &'a str: "a string", JsonValue::as_str;
+    String: "a string", |v: &JsonValue| v.as_str().map(str::to_owned);
+    &'a JsonValue: "a JSON value", Some;
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn expected() -> String {
+        format!("an array of {}", T::expected())
+    }
+
+    fn decode(value: &'a JsonValue) -> Option<Self> {
+        value.as_array()?.iter().map(T::decode).collect()
     }
 }
 
-impl From<i64> for JsonValue {
-    fn from(v: i64) -> Self {
-        JsonValue::Int(v as i128)
+impl<'a, A: FromJson<'a>, B: FromJson<'a>> FromJson<'a> for (A, B) {
+    fn expected() -> String {
+        format!("a [{}, {}] pair", A::expected(), B::expected())
+    }
+
+    fn decode(value: &'a JsonValue) -> Option<Self> {
+        match value.as_array()? {
+            [a, b] => Some((A::decode(a)?, B::decode(b)?)),
+            _ => None,
+        }
     }
 }
 
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::Int(v as i128)
+impl<'a, A: FromJson<'a>, B: FromJson<'a>, C: FromJson<'a>> FromJson<'a> for (A, B, C) {
+    fn expected() -> String {
+        format!("a [{}, {}, {}] triple", A::expected(), B::expected(), C::expected())
+    }
+
+    fn decode(value: &'a JsonValue) -> Option<Self> {
+        match value.as_array()? {
+            [a, b, c] => Some((A::decode(a)?, B::decode(b)?, C::decode(c)?)),
+            _ => None,
+        }
     }
 }
 
-impl From<usize> for JsonValue {
-    fn from(v: usize) -> Self {
-        JsonValue::Int(v as i128)
+/// The member reader every decoder in the workspace goes through: typed
+/// access to one JSON object's members, with errors that name the
+/// member. `context` names the object in every error:
+///
+/// - a missing required member: ``{context} requires a `{name}` ``;
+/// - a member of another shape: `{context}: {name} must be {expected}`;
+/// - a member the caller rejects: `{context}: {name} {detail}`
+///   ([`Members::invalid`]).
+///
+/// The reader borrows the object: it builds no map and copies no member
+/// name; a lookup scans the members in order. A `null` member reads as
+/// absent.
+#[derive(Clone, Copy, Debug)]
+pub struct Members<'a, 'c> {
+    members: &'a [(String, JsonValue)],
+    context: &'c str,
+}
+
+impl<'a, 'c> Members<'a, 'c> {
+    /// Reads `value`'s members.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] naming `context` when `value` is not an
+    /// object. Every other method's error names the member it reads.
+    pub fn of(value: &'a JsonValue, context: &'c str) -> Result<Self, Diagnostic> {
+        match value {
+            JsonValue::Object(members) => Ok(Members { members, context }),
+            other => Err(Diagnostic::error(format!(
+                "{context}: expected a JSON object, found {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// The object's members in source order.
+    pub fn entries(&self) -> &'a [(String, JsonValue)] {
+        self.members
+    }
+
+    /// The raw member `name`; `None` when absent or `null`.
+    pub fn get(&self, name: &str) -> Option<&'a JsonValue> {
+        let (_, value) = self.members.iter().find(|(key, _)| key == name)?;
+        Some(value).filter(|value| !matches!(value, JsonValue::Null))
+    }
+
+    /// The raw member `name`, which must be present.
+    pub fn value(&self, name: &str) -> Result<&'a JsonValue, Diagnostic> {
+        self.get(name)
+            .ok_or_else(|| Diagnostic::error(format!("{} requires a `{name}`", self.context)))
+    }
+
+    /// Decodes the required member `name`.
+    pub fn req<T: FromJson<'a>>(&self, name: &str) -> Result<T, Diagnostic> {
+        self.decode(name, self.value(name)?)
+    }
+
+    /// Decodes the optional member `name`: `None` when absent.
+    pub fn opt<T: FromJson<'a>>(&self, name: &str) -> Result<Option<T>, Diagnostic> {
+        self.get(name).map(|value| self.decode(name, value)).transpose()
+    }
+
+    /// The object member `name`, read in the same context.
+    pub fn object(&self, name: &str) -> Result<Members<'a, 'c>, Diagnostic> {
+        match self.value(name)? {
+            JsonValue::Object(members) => Ok(Members { members, context: self.context }),
+            _ => Err(self.invalid(name, "must be a JSON object")),
+        }
+    }
+
+    /// An error rejecting member `name` (see [`member_error`]).
+    pub fn invalid(&self, name: &str, detail: impl std::fmt::Display) -> Diagnostic {
+        member_error(self.context, name, detail)
+    }
+
+    fn decode<T: FromJson<'a>>(&self, name: &str, value: &'a JsonValue) -> Result<T, Diagnostic> {
+        T::decode(value).ok_or_else(|| self.invalid(name, format!("must be {}", T::expected())))
     }
 }
 
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Float(v)
+/// The error that rejects member `name` of the object `context` names:
+/// `{context}: {name} {detail}`. [`Members`] reports shape errors this
+/// way; validation of an already decoded value uses it to blame a member
+/// in the same words.
+pub fn member_error(context: &str, name: &str, detail: impl std::fmt::Display) -> Diagnostic {
+    Diagnostic::error(format!("{context}: {name} {detail}"))
+}
+
+macro_rules! into_json {
+    ($($ty:ty => $encode:expr;)*) => {$(
+        impl From<$ty> for JsonValue {
+            fn from(v: $ty) -> Self {
+                $encode(v)
+            }
+        }
+    )*};
+}
+
+into_json! {
+    bool => JsonValue::Bool;
+    i64 => |v| JsonValue::Int(i128::from(v));
+    u64 => |v| JsonValue::Int(i128::from(v));
+    usize => |v| JsonValue::Int(v as i128);
+    f64 => JsonValue::Float;
+    &str => |v: &str| JsonValue::Str(v.to_owned());
+    String => JsonValue::Str;
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(v: Vec<T>) -> Self {
+        JsonValue::Array(v.into_iter().map(Into::into).collect())
     }
 }
 
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        JsonValue::Str(v.to_owned())
-    }
-}
-
-impl From<String> for JsonValue {
-    fn from(v: String) -> Self {
-        JsonValue::Str(v)
-    }
-}
-
-impl From<Vec<JsonValue>> for JsonValue {
-    fn from(v: Vec<JsonValue>) -> Self {
-        JsonValue::Array(v)
+/// A pair encodes as a two-element array, the spelling [`FromJson`]
+/// decodes pairs from.
+impl<A: Into<JsonValue>, B: Into<JsonValue>> From<(A, B)> for JsonValue {
+    fn from((a, b): (A, B)) -> Self {
+        JsonValue::Array(vec![a.into(), b.into()])
     }
 }
 
@@ -642,9 +787,9 @@ mod tests {
     #[test]
     fn pretty_output_indents_members() {
         let v = JsonValue::object([
-            ("a".to_owned(), JsonValue::Int(1)),
-            ("b".to_owned(), JsonValue::Array(vec![JsonValue::Bool(true)])),
-            ("empty".to_owned(), JsonValue::Object(Vec::new())),
+            ("a", JsonValue::Int(1)),
+            ("b", JsonValue::Array(vec![JsonValue::Bool(true)])),
+            ("empty", JsonValue::Object(Vec::new())),
         ]);
         let text = v.to_json_pretty();
         assert_eq!(text, "{\n  \"a\": 1,\n  \"b\": [\n    true\n  ],\n  \"empty\": {}\n}");

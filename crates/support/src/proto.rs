@@ -28,6 +28,14 @@ use crate::diag::Diagnostic;
 use crate::fault::{self, FaultAction};
 use crate::json::JsonValue;
 
+/// A `{"type": tag, ...members}` frame: the one place a frame's `type`
+/// member is written. Each vocabulary's encoder builds its frames
+/// through it, and its decoder reads `type` back with
+/// [`crate::json::Members`].
+pub fn tagged<'k>(tag: &str, members: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+    JsonValue::object(std::iter::once(("type", tag.into())).chain(members))
+}
+
 /// Serializes `value` compactly onto `writer`, appends `\n`, and flushes.
 ///
 /// # Errors
@@ -179,11 +187,8 @@ mod tests {
 
     #[test]
     fn frames_round_trip_through_a_buffer() {
-        let a = JsonValue::object([("type".to_owned(), "hello".into())]);
-        let b = JsonValue::object([
-            ("type".to_owned(), "submit".into()),
-            ("note".to_owned(), "line\nbreak".into()),
-        ]);
+        let a = JsonValue::object([("type", "hello".into())]);
+        let b = JsonValue::object([("type", "submit".into()), ("note", "line\nbreak".into())]);
         let mut wire = Vec::new();
         write_frame(&mut wire, &a).unwrap();
         write_frame(&mut wire, &b).unwrap();
@@ -201,12 +206,12 @@ mod tests {
         let mut reader = FrameReader::new(BufReader::new(wire.as_slice()));
         assert_eq!(
             reader.next_frame().unwrap(),
-            Frame::Value(JsonValue::object([("n".to_owned(), 1u64.into())]))
+            Frame::Value(JsonValue::object([("n", 1u64.into())]))
         );
         // The last frame has no trailing newline (EOF mid-line).
         assert_eq!(
             reader.next_frame().unwrap(),
-            Frame::Value(JsonValue::object([("n".to_owned(), 2u64.into())]))
+            Frame::Value(JsonValue::object([("n", 2u64.into())]))
         );
         assert_eq!(reader.next_frame().unwrap(), Frame::Eof);
     }
@@ -248,7 +253,7 @@ mod tests {
         assert_eq!(reader.next_frame().unwrap(), Frame::Idle);
         assert_eq!(
             reader.next_frame().unwrap(),
-            Frame::Value(JsonValue::object([("half".to_owned(), true.into())]))
+            Frame::Value(JsonValue::object([("half", true.into())]))
         );
         assert_eq!(reader.next_frame().unwrap(), Frame::Eof);
     }
@@ -268,7 +273,7 @@ mod tests {
         assert_eq!(reader.next_frame().unwrap(), Frame::Idle);
         assert_eq!(
             reader.next_frame().unwrap(),
-            Frame::Value(JsonValue::object([("k".to_owned(), "é".into())]))
+            Frame::Value(JsonValue::object([("k", "é".into())]))
         );
         assert_eq!(reader.next_frame().unwrap(), Frame::Eof);
     }
@@ -276,7 +281,7 @@ mod tests {
     #[test]
     fn injected_faults_shape_the_wire() {
         let plan = crate::fault::FaultPlan::parse("seed=3,t.send:drop@1,t.send:torn@2").unwrap();
-        let value = JsonValue::object([("payload".to_owned(), "0123456789".into())]);
+        let value = JsonValue::object([("payload", "0123456789".into())]);
         // Without a global install, exercise the action mapping directly
         // through a plan-scoped helper: tick 1 drops…
         let mut wire = Vec::new();

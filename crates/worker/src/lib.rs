@@ -24,18 +24,16 @@
 
 #![deny(missing_docs)]
 
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use axi4mlir_core::driver::Session;
-use axi4mlir_core::explore::measure::{handle_measure, WORKER_SCHEMA};
+use axi4mlir_core::explore::measure::{Measurement, WorkerReply, WorkerRequest};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
-use axi4mlir_support::json::JsonValue;
 use axi4mlir_support::proto::{write_frame, write_frame_at, Frame, FrameReader};
 
 /// How the daemon is set up.
@@ -148,43 +146,10 @@ impl Worker {
     }
 }
 
-/// The per-connection measurement queue: `measure` frames the reader
-/// accepted, waiting for a slot thread.
-#[derive(Default)]
-struct Inbox {
-    frames: Mutex<(VecDeque<JsonValue>, bool)>, // (queue, closed)
-    ready: Condvar,
-}
-
-impl Inbox {
-    fn push(&self, frame: JsonValue) {
-        self.frames.lock().expect("worker inbox poisoned").0.push_back(frame);
-        self.ready.notify_one();
-    }
-
-    fn close(&self) {
-        self.frames.lock().expect("worker inbox poisoned").1 = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks for the next frame; `None` once closed and empty.
-    fn pop(&self) -> Option<JsonValue> {
-        let mut state = self.frames.lock().expect("worker inbox poisoned");
-        loop {
-            if let Some(frame) = state.0.pop_front() {
-                return Some(frame);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.ready.wait(state).expect("worker inbox poisoned");
-        }
-    }
-}
-
 /// Serves one scheduler connection: one reader (this thread) feeding
-/// `slots` measurement threads, all sharing the write half (frames are
-/// written whole under the lock, so replies never interleave).
+/// `slots` measurement threads through a queue, all sharing the write
+/// half (frames are written whole under the lock, so replies never
+/// interleave).
 fn serve_connection(stream: TcpStream, slots: usize, totals: &Totals) -> Result<(), Diagnostic> {
     let fail = |err: std::io::Error| Diagnostic::error(format!("connection setup failed: {err}"));
     stream.set_nonblocking(false).map_err(fail)?;
@@ -196,18 +161,22 @@ fn serve_connection(stream: TcpStream, slots: usize, totals: &Totals) -> Result<
     let mut reader = FrameReader::new(BufReader::new(stream));
     totals.connections.fetch_add(1, Ordering::Relaxed);
 
-    let inbox = Inbox::default();
+    // The slots take turns waiting on the queue; closing it (dropping
+    // `inbox`) ends them once it is empty.
+    let (inbox, queue) = mpsc::channel::<Box<Measurement>>();
+    let queue = Mutex::new(queue);
     let accepted = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
-    let send = |frame: &JsonValue| -> Result<(), Diagnostic> {
-        write_frame(&mut *writer.lock().expect("worker writer poisoned"), frame)
+    let send = |reply: &WorkerReply| -> Result<(), Diagnostic> {
+        write_frame(&mut *writer.lock().expect("worker writer poisoned"), &reply.to_json())
             .map_err(|err| Diagnostic::error(format!("connection write failed: {err}")))
     };
     // Measurement replies carry the `worker.reply` fault site, so a
     // chaos plan can tear or drop a result frame without touching the
     // hello/drained control traffic.
-    let send_reply = |frame: &JsonValue| -> Result<(), Diagnostic> {
-        write_frame_at("worker.reply", &mut *writer.lock().expect("worker writer poisoned"), frame)
+    let send_reply = |reply: &WorkerReply| -> Result<(), Diagnostic> {
+        let mut writer = writer.lock().expect("worker writer poisoned");
+        write_frame_at("worker.reply", &mut *writer, &reply.to_json())
             .map_err(|err| Diagnostic::error(format!("connection write failed: {err}")))
     };
 
@@ -215,8 +184,12 @@ fn serve_connection(stream: TcpStream, slots: usize, totals: &Totals) -> Result<
         for _ in 0..slots {
             scope.spawn(|| {
                 let mut session = Session::for_sweep();
-                while let Some(frame) = inbox.pop() {
-                    let reply = handle_measure(&mut session, &frame);
+                loop {
+                    let Ok(measurement) = queue.lock().expect("worker queue poisoned").recv()
+                    else {
+                        break;
+                    };
+                    let reply = measurement.run(&mut session);
                     totals.measured.fetch_add(1, Ordering::Relaxed);
                     // Count the completion even if the scheduler hung
                     // up mid-measure — `drain` must never wedge.
@@ -240,70 +213,51 @@ fn serve_connection(stream: TcpStream, slots: usize, totals: &Totals) -> Result<
                 match reader.next_frame() {
                     Ok(Frame::Idle) => continue,
                     Ok(Frame::Eof) => return Ok(()),
-                    Ok(Frame::Value(frame)) => {
-                        match frame.get("type").and_then(JsonValue::as_str) {
-                            Some("hello") => send(&hello_frame(slots))?,
-                            Some("measure") => {
-                                // The `worker.measure` site counts accepted
-                                // measures; a scripted crash here models a
-                                // worker dying mid-sweep with claims open.
-                                if let Some(plan) = fault::active() {
-                                    match plan.tick("worker.measure") {
-                                        Some(FaultAction::Crash(code)) => std::process::exit(code),
-                                        Some(FaultAction::Delay(pause)) => {
-                                            std::thread::sleep(pause);
-                                        }
-                                        _ => {}
-                                    }
+                    Ok(Frame::Value(frame)) => match WorkerRequest::from_json(&frame) {
+                        Ok(WorkerRequest::Hello) => send(&WorkerReply::Hello { slots })?,
+                        Ok(WorkerRequest::Measure(measurement)) => {
+                            // The `worker.measure` site counts accepted
+                            // measures; a scripted crash here models a
+                            // worker dying mid-sweep with claims open.
+                            if let Some(plan) = fault::active() {
+                                match plan.tick("worker.measure") {
+                                    Some(FaultAction::Crash(code)) => std::process::exit(code),
+                                    Some(FaultAction::Delay(pause)) => std::thread::sleep(pause),
+                                    _ => {}
                                 }
-                                accepted.fetch_add(1, Ordering::Relaxed);
-                                inbox.push(frame);
                             }
-                            Some("drain") => {
-                                // Barrier: every accepted measure has
-                                // been answered before `drained` goes
-                                // out.
-                                while completed.load(Ordering::Acquire)
-                                    < accepted.load(Ordering::Relaxed)
-                                {
-                                    std::thread::sleep(Duration::from_millis(2));
-                                }
-                                send(&JsonValue::object([("type".to_owned(), "drained".into())]))?;
-                            }
-                            other => {
-                                let what = other.unwrap_or("untyped frame");
-                                send(&JsonValue::object([
-                                    ("type".to_owned(), "error".into()),
-                                    (
-                                        "reason".to_owned(),
-                                        format!("unknown request `{what}`").into(),
-                                    ),
-                                ]))?;
-                            }
+                            accepted.fetch_add(1, Ordering::Relaxed);
+                            let _ = inbox.send(measurement);
                         }
-                    }
+                        Ok(WorkerRequest::Drain) => {
+                            // Barrier: every accepted measure has been
+                            // answered before `drained` goes out.
+                            while completed.load(Ordering::Acquire)
+                                < accepted.load(Ordering::Relaxed)
+                            {
+                                std::thread::sleep(Duration::from_millis(2));
+                            }
+                            send(&WorkerReply::Drained)?;
+                        }
+                        // A `failed` for a malformed measure, an `error`
+                        // for anything else.
+                        Err(reply) => send(&reply)?,
+                    },
                     Err(err) => return Err(err),
                 }
             }
         })();
-        inbox.close();
+        drop(inbox);
         outcome
     })
-}
-
-fn hello_frame(slots: usize) -> JsonValue {
-    JsonValue::object([
-        ("type".to_owned(), "hello".into()),
-        ("schema".to_owned(), WORKER_SCHEMA.into()),
-        ("slots".to_owned(), slots.into()),
-    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axi4mlir_core::explore::measure::measure_request;
+    use axi4mlir_core::explore::measure::{measure_request, WORKER_SCHEMA};
     use axi4mlir_core::explore::{DesignSpace, Fidelity, MatMulSpace};
+    use axi4mlir_support::json::JsonValue;
     use axi4mlir_workloads::matmul::MatMulProblem;
 
     fn start() -> (SocketAddr, std::thread::JoinHandle<WorkerSummary>) {
@@ -333,8 +287,7 @@ mod tests {
         let mut writer = stream.try_clone().unwrap();
         let mut reader = FrameReader::new(BufReader::new(stream));
 
-        write_frame(&mut writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
-            .unwrap();
+        write_frame(&mut writer, &WorkerRequest::Hello.to_json()).unwrap();
         let hello = read_value(&mut reader);
         assert_eq!(hello.get("schema").and_then(JsonValue::as_str), Some(WORKER_SCHEMA));
         assert_eq!(hello.get("slots").and_then(JsonValue::as_u64), Some(2));
@@ -345,8 +298,7 @@ mod tests {
             let request = measure_request(id as u64 + 1, &job, Fidelity::Full, candidate);
             write_frame(&mut writer, &request).unwrap();
         }
-        write_frame(&mut writer, &JsonValue::object([("type".to_owned(), "drain".into())]))
-            .unwrap();
+        write_frame(&mut writer, &WorkerRequest::Drain.to_json()).unwrap();
 
         let mut results = 0;
         loop {
@@ -372,17 +324,13 @@ mod tests {
         let mut writer = stream.try_clone().unwrap();
         let mut reader = FrameReader::new(BufReader::new(stream));
 
-        write_frame(&mut writer, &JsonValue::object([("type".to_owned(), "launch".into())]))
-            .unwrap();
+        write_frame(&mut writer, &JsonValue::object([("type", "launch".into())])).unwrap();
         let error = read_value(&mut reader);
         assert_eq!(error.get("type").and_then(JsonValue::as_str), Some("error"));
         assert!(error.get("reason").and_then(JsonValue::as_str).unwrap().contains("launch"));
 
         // A measure with a broken job spec answers `failed`, not a hangup.
-        let bad = JsonValue::object([
-            ("type".to_owned(), "measure".into()),
-            ("id".to_owned(), 7u64.into()),
-        ]);
+        let bad = JsonValue::object([("type", "measure".into()), ("id", 7u64.into())]);
         write_frame(&mut writer, &bad).unwrap();
         let failed = read_value(&mut reader);
         assert_eq!(failed.get("type").and_then(JsonValue::as_str), Some("failed"));

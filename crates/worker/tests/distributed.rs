@@ -1,19 +1,23 @@
 //! Integration tests for distributed measurement: a sweep fanned out
 //! to `axi4mlir-worker` daemons must produce a report bit-identical
 //! (timing aside) to the local thread pool, survive losing a worker
-//! mid-sweep with correct counters, and — run through a hub — still
-//! dedup racing identical jobs down to one isolated sweep's cost.
+//! mid-sweep with correct counters, survive a worker whose replies do
+//! not decode, and — run through a hub — still dedup racing identical
+//! jobs down to one isolated sweep's cost.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 use axi4mlir_core::explore::{
     AccelInstance, Explorer, HalvingSpec, JobSpec, MatMulSpace, Objective, ProgressEvent, Prune,
     RemotePool, Search,
 };
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
+use axi4mlir_support::json::JsonValue;
 use axi4mlir_worker::{Worker, WorkerConfig};
 use axi4mlir_workloads::matmul::MatMulProblem;
 
@@ -42,6 +46,83 @@ fn spawn_worker_binary() -> (Child, String) {
     let banner = BufReader::new(stdout).lines().next().unwrap().unwrap();
     let addr = banner.strip_prefix("axi4mlir-worker listening on ").expect("banner").to_owned();
     (child, addr)
+}
+
+/// Starts a scripted worker that completes the handshake, then answers
+/// every `measure` with a `result` frame holding nothing but its `id`:
+/// valid JSON that does not decode as a result.
+fn start_malformed_worker() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the scripted worker");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().unwrap();
+                for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                    let frame = JsonValue::parse(&line).expect("the pool sends JSON");
+                    let reply = match frame.get("type").and_then(JsonValue::as_str) {
+                        Some("hello") => {
+                            r#"{"type":"hello","schema":"axi4mlir-worker/v1","slots":1}"#.to_owned()
+                        }
+                        Some("measure") => {
+                            let id = frame.get("id").and_then(JsonValue::as_u64).unwrap();
+                            format!(r#"{{"type":"result","id":{id}}}"#)
+                        }
+                        _ => continue,
+                    };
+                    if writeln!(writer, "{reply}").is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// Runs `sweep` on a thread and waits at most `limit` for it, so a
+/// wedged sweep fails the test instead of hanging it.
+fn within<T: Send + 'static>(limit: Duration, sweep: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || done.send(sweep()));
+    outcome.recv_timeout(limit).expect("the sweep returned instead of wedging")
+}
+
+#[test]
+fn a_worker_whose_replies_do_not_decode_fails_the_sweep_by_name() {
+    let bad = start_malformed_worker();
+    let addr = bad.clone();
+    let started = Instant::now();
+    let outcome = within(Duration::from_secs(10), move || {
+        let space = MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(7);
+        let mut explorer = Explorer::new();
+        explorer.set_measure_backend(Box::new(RemotePool::new(vec![addr])));
+        explorer.explore_with_objectives(&space, Prune::None, &Search::Exhaustive, 4, &[]).err()
+    });
+    let err = outcome.expect("no candidate can be measured");
+    assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
+    assert!(err.message.contains(&bad), "{}", err.message);
+    assert!(err.message.contains("counters"), "{}", err.message);
+}
+
+#[test]
+fn a_worker_whose_replies_do_not_decode_only_costs_throughput() {
+    let space =
+        MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(vec![AccelInstance::v4(8)]).seed(7);
+    let local = Explorer::new()
+        .explore_with_objectives(&space, Prune::None, &Search::Exhaustive, 2, &[])
+        .expect("local sweep");
+    let addrs = vec![start_malformed_worker(), start_worker(2)];
+    let remote = within(Duration::from_secs(60), move || {
+        let mut explorer = Explorer::new();
+        explorer.set_measure_backend(Box::new(RemotePool::new(addrs)));
+        explorer.explore_with_objectives(&space, Prune::None, &Search::Exhaustive, 2, &[])
+    })
+    .expect("the healthy worker carries the sweep");
+    assert_eq!(local.evaluations.len(), remote.evaluations.len());
+    for (l, r) in local.evaluations.iter().zip(&remote.evaluations) {
+        assert_eq!(l.deterministic_key(), r.deterministic_key());
+    }
 }
 
 #[test]
